@@ -1,7 +1,7 @@
-// µR-tree (Section IV-B1, Fig. 1): a two-level R-tree. The first level
+// µR-tree (Section IV-B1, Fig. 1): a two-level index. The first level
 // indexes micro-cluster centres; each micro-cluster owns an auxiliary R-tree
 // (AuxR-tree) over its member points. Breaking one big R-tree into a small
-// tree-of-centres plus many tiny member trees stops MBR overlap from
+// index of centres plus many tiny member trees stops MBR overlap from
 // propagating to the leaves, which is where the paper's query-cost reduction
 // comes from.
 //
@@ -11,12 +11,29 @@
 // number of MCs by discouraging overlapping centres); otherwise it founds a
 // new MC. Deferred points are resolved in a second pass (join within eps or
 // found an MC).
+//
+// The level-1 index adapts to the dimension. Up to kLevel1GridMaxDim
+// dimensions it is a hash grid over the centres (CentreGrid, murtree.cpp)
+// with cell side a hair above 3*eps, so each of the four level-1 questions
+// — the Algorithm 3 join probe (< eps), the 2*eps deferral probe (< 2*eps),
+// the Lemma 3 reach lists (<= 3*eps) and the serving candidate query (<=
+// mc_candidate_radius) — reads one 3^d block of cells. Above the cutoff, or
+// when a coordinate is too large for an int64 cell index, the level-1 index
+// is the paper's R-tree. Both answer every question with the same sq_dist
+// arithmetic and strictness, so the MC count, the deferred set and the reach
+// lists do not depend on the regime. Only membership can: when several
+// centres lie within eps, a point joins the first one the index reports — in
+// the grid, the first in cell-offset order (home cell, then the other offsets
+// of {-1,0,1}^d lexicographically), then in founding order within a cell; in
+// the R-tree, the first in tree traversal order. Either way the tree is a
+// deterministic function of dataset order, eps and the Config knobs.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/dataset.hpp"
@@ -34,6 +51,16 @@ class Tracer;
 
 class MuRTree {
  public:
+  // Highest dimension whose level-1 index is the centre hash grid. A probe
+  // reads 3^d cells, so the grid's cost grows as 3^d. Measured at one
+  // thread (docs/ALGORITHM.md): the grid cuts whole-fit time 1.8-2.5x on
+  // the 3-D dataset analogs and on 2-D blobs, but at d = 5 (243 cells per
+  // probe) the HHP analog's fit is 8-20% slower than with the R-tree, even
+  // though 4-D and 5-D blobs favour the grid. Blobs mispredict the choice,
+  // and no non-blob 4-D dataset has been measured, so d = 4 keeps the
+  // R-tree.
+  static constexpr std::size_t kLevel1GridMaxDim = 3;
+
   struct Config {
     // Ablation switch: when false, skip the 2*eps deferral (every point
     // either joins an MC within eps or immediately founds one). Produces more
@@ -64,6 +91,7 @@ class MuRTree {
   MuRTree(const Dataset& ds, double eps) : MuRTree(ds, eps, Config()) {}
   MuRTree(const Dataset& ds, double eps, Config cfg,
           ThreadPool* pool = nullptr);
+  ~MuRTree();
 
   [[nodiscard]] std::size_t num_mcs() const noexcept { return mcs_.size(); }
   [[nodiscard]] const MicroCluster& mc(McId id) const noexcept {
@@ -79,6 +107,11 @@ class MuRTree {
   [[nodiscard]] double eps() const noexcept { return eps_; }
   [[nodiscard]] std::size_t deferred_points() const noexcept {
     return deferred_;
+  }
+  // True when the level-1 index is the centre hash grid (low d, coordinates
+  // within the grid's int64 cell range); false when it is the R-tree.
+  [[nodiscard]] bool level1_is_grid() const noexcept {
+    return grid_ != nullptr;
   }
 
   // Computes MC.ic_count for every MC (strict < eps/2 from centre).
@@ -118,10 +151,12 @@ class MuRTree {
     return aux_searched_.load(std::memory_order_relaxed);
   }
 
-  // Aggregated R-tree instrumentation over the level-1 tree and every
-  // AuxR-tree: nodes visited and point-distance evaluations across all
-  // queries since construction. O(num_mcs) — call at phase boundaries, not
-  // per query.
+  // Aggregated instrumentation over the level-1 index and every AuxR-tree
+  // across all queries since construction. node_visits counts R-tree nodes
+  // visited plus, in the grid regime, level-1 cells probed (one per cell
+  // lookup, empty or not); distance_evals counts point-distance evaluations,
+  // including the grid's centre checks (docs/OBSERVABILITY.md). O(num_mcs) —
+  // call at phase boundaries, not per query.
   struct IndexCounters {
     std::uint64_t node_visits = 0;
     std::uint64_t distance_evals = 0;
@@ -131,15 +166,26 @@ class MuRTree {
   [[nodiscard]] IndexCounters index_counters() const;
 
   // Test hook: structural invariants — every point in exactly one MC, member
-  // distances < eps from the centre, level-1 / aux R-tree invariants.
+  // distances < eps from the centre, aux R-tree invariants, and the level-1
+  // index's: R-tree invariants, or every centre listed in the grid cell its
+  // coordinates map to and the grid holding exactly num_mcs() entries.
   void check_invariants() const;
 
  private:
+  // Level-1 hash grid over MC centres (the low-d regime), murtree.cpp.
+  class CentreGrid;
+
   McId create_mc(PointId center);
+  // Algorithm 3's level-1 probe: the first centre strictly within eps, or
+  // kInvalidMc. When there is none and `within_2eps` is set, also answers
+  // whether some centre lies strictly within 2*eps.
+  [[nodiscard]] McId join_probe(std::span<const double> pt,
+                                bool* within_2eps) const;
 
   const Dataset* ds_;
   double eps_;
   Config cfg_;
+  std::unique_ptr<CentreGrid> grid_;  // set: grid regime; level1_ is empty
   RTree level1_;
   std::vector<MicroCluster> mcs_;
   std::vector<RTree> aux_;

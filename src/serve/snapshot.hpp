@@ -8,7 +8,9 @@
 // deterministic function of (dataset order, eps, two_eps_rule, bulk_aux), so
 // load_model + ClusterModel reproduce the exact same index the fitting run
 // used, at a fraction of the format complexity and with no cross-version
-// pointer-layout hazards.
+// pointer-layout hazards. That includes the choice of level-1 index (centre
+// grid or R-tree) and which MC a point joins: the dimension and the data
+// decide both, and neither depends on thread count or host.
 //
 // Loading follows the quarantine-loader discipline (common/io.*): every
 // failure — missing file, wrong magic, unsupported version, truncation, bit

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "baselines/brute_dbscan.hpp"
+#include "core/murtree.hpp"
 #include "data/generators.hpp"
 #include "metrics/exactness.hpp"
 
@@ -80,6 +81,27 @@ TEST(GuardedRun, BudgetExhaustionFailsCleanly) {
     EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
     // Every charge drained on unwind: the accounting (and with it the heap,
     // checked by the sanitizer job) is clean after a failed run.
+    EXPECT_EQ(guard.bytes_in_use(), 0u);
+  }
+}
+
+TEST(GuardedRun, BudgetTooSmallForGridIndexTripsCleanly) {
+  // Room for the dataset, the engine flags and the µR-tree skeleton (8 bytes
+  // each per point, plus 16 for the 2-D coordinates) but not for the built
+  // index: the trip lands at the "murtree index" charge, which includes the
+  // level-1 centre grid (2-D data is in the grid regime).
+  const Dataset ds = small_blobs();
+  ASSERT_TRUE(MuRTree(ds, small_params().eps).level1_is_grid());
+  for (unsigned nt : {1u, 4u}) {
+    GuardedRunOptions opts;
+    opts.mu.num_threads = nt;
+    opts.limits.memory_budget_bytes = ds.size() * 32 + 1024;
+    RunGuard guard;
+    auto run = run_guarded(ds, small_params(), opts, &guard);
+    ASSERT_FALSE(run.ok()) << "threads=" << nt;
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(run.status().message().find("murtree index"), std::string::npos)
+        << run.status().message();
     EXPECT_EQ(guard.bytes_in_use(), 0u);
   }
 }

@@ -236,6 +236,29 @@ TEST_F(ClusterModelTest, NeighborsMatchesBruteForceAtArbitraryRadii) {
   }
 }
 
+TEST_F(ClusterModelTest, NeighborsAnswersHugeFiniteRadii) {
+  // Radii of 2^54 level-1 cells and more are valid requests; they must end
+  // and return every point, nearest first. Six ulps above 3*eps * 2^54 the
+  // cell count k rounds so that k * 3*eps < radius + eps and k + 1 == k.
+  const double max = std::numeric_limits<double>::max();
+  double stuck = std::ldexp(3.0 * kEps, 54);
+  for (int i = 0; i < 6; ++i) stuck = std::nextafter(stuck, max);
+  const double q[2] = {5.0, -3.0};
+  for (double radius : {stuck, 1e200, max}) {
+    std::vector<std::pair<PointId, double>> want;
+    for (std::size_t i = 0; i < snap_.data.size(); ++i) {
+      const auto id = static_cast<PointId>(i);
+      want.emplace_back(id, dist2(snap_.data.point(id), q));
+    }
+    std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      return a.second != b.second ? a.second < b.second : a.first < b.first;
+    });
+    auto got = model_->neighbors(q, radius);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    EXPECT_EQ(*got, want) << "radius " << radius;
+  }
+}
+
 TEST_F(ClusterModelTest, InvalidQueriesAreRejectedCleanly) {
   const double q3[3] = {1.0, 2.0, 3.0};
   EXPECT_EQ(model_->classify(q3).status().code(),
