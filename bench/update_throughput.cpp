@@ -4,7 +4,10 @@
 // serving deployment without the incremental engine would have to do.
 //
 // Three workloads over a blob dataset: insert-only growth, delete-only decay,
-// and the serving-shaped mixed stream (60% insert / 40% erase). Each is
+// and the serving-shaped mixed stream (60% insert / 40% erase); and a fourth,
+// giant_cluster_delete, erasing from uniform points that form one cluster
+// spanning the whole box — every erase lands inside the one cluster a split
+// check could have to walk (docs/INCREMENTAL.md §Delete). Each is
 // timed end to end through the engine; the refit baseline is measured by
 // actually running mu_dbscan over the final survivor set (averaged over a few
 // runs), so `speedup_vs_refit = refit_seconds * updates / engine_seconds` is
@@ -17,6 +20,7 @@
 // mixed workload must sustain >= 10x updates/s over refit-per-update at
 // n >= 10k. Emits BENCH_update.json (gated in CI by tools/benchdiff).
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <sstream>
@@ -131,6 +135,15 @@ int main(int argc, char** argv) {
     // clusters (the expensive case — promotions and merges), not in the void.
     const Dataset pool = gen_blobs(updates, dim, 16, 60.0, 1.0, 0.08, 43);
     const std::size_t refit_reps = quick ? 1 : 3;
+    // Uniform with ~24 expected eps-neighbours per point (the blobs' box at
+    // the default n and eps), far above the percolation threshold, so one
+    // cluster spans the box.
+    const double giant_box =
+        40.0 * eps * std::sqrt(static_cast<double>(n) / 12000.0);
+    const Dataset giant = gen_uniform(n, dim, 0.0, giant_box, 44);
+    if (mu_dbscan(giant, params).num_clusters() != 1)
+      throw std::runtime_error(
+          "giant_cluster_delete: the uniform base is not one cluster");
 
     std::mt19937_64 rng(7);
     // insert-only: every pool row in order.
@@ -173,21 +186,24 @@ int main(int argc, char** argv) {
 
     obs::MetricsRegistry metrics;
     std::vector<WorkloadResult> results;
-    bench::row("%12s | %8s %9s | %12s %16s %10s", "workload", "updates",
+    bench::row("%20s | %8s %9s | %12s %16s %10s", "workload", "updates",
                "final_n", "updates/s", "refit_s/update", "speedup");
     bench::rule();
     const struct {
       const char* name;
+      const Dataset* base;
       const std::vector<std::int64_t>* ops;
     } kWorkloads[] = {
-        {"insert_only", &ins_ops},
-        {"delete_only", &del_ops},
-        {"mixed_60_40", &mix_ops},
+        {"insert_only", &base, &ins_ops},
+        {"delete_only", &base, &del_ops},
+        {"mixed_60_40", &base, &mix_ops},
+        // The delete-only ids, erased from the giant cluster instead.
+        {"giant_cluster_delete", &giant, &del_ops},
     };
     for (const auto& wl : kWorkloads) {
-      WorkloadResult r = run_workload(wl.name, base, pool, params, *wl.ops,
-                                      refit_reps, &metrics);
-      bench::row("%12s | %8zu %9zu | %12.0f %16.6f %9.1fx", r.name.c_str(),
+      WorkloadResult r = run_workload(wl.name, *wl.base, pool, params,
+                                      *wl.ops, refit_reps, &metrics);
+      bench::row("%20s | %8zu %9zu | %12.0f %16.6f %9.1fx", r.name.c_str(),
                  r.updates, r.final_points, r.updates_per_sec,
                  r.refit_seconds_per_update, r.speedup_vs_refit);
       results.push_back(std::move(r));

@@ -1,6 +1,7 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -37,13 +38,13 @@ IncrementalMuDbscan::IncrementalMuDbscan(std::size_t dim,
 // Micro-cluster layer.
 // ---------------------------------------------------------------------------
 
-void IncrementalMuDbscan::collect_neighbors(
-    const double* q, PointId exclude,
-    std::vector<std::pair<PointId, double>>& out, std::size_t* touched) const {
-  std::vector<PointId> cands;
+void IncrementalMuDbscan::collect_neighbors(const double* q, PointId exclude,
+                                            Neighbors& out,
+                                            std::size_t* touched) const {
+  cands_.clear();
   centers_.query_ball({q, dim_}, mc_candidate_radius(params_.eps, params_.eps),
-                      cands, /*strict=*/false);
-  for (PointId cid : cands) {
+                      cands_, /*strict=*/false);
+  for (PointId cid : cands_) {
     const Mc& mc = mcs_[cid];
     if (mc.alive_members == 0) continue;
     if (touched) ++*touched;
@@ -172,9 +173,9 @@ void IncrementalMuDbscan::maybe_improve_border(PointId q, PointId core,
 void IncrementalMuDbscan::recompute_border(PointId q, std::size_t* touched) {
   border_core_[q] = kInvalidPoint;
   border_d2_[q] = kInf;
-  std::vector<std::pair<PointId, double>> nbrs;
-  collect_neighbors(ptr(q), q, nbrs, touched);
-  for (const auto& [c, d2] : nbrs)
+  scan_.clear();
+  collect_neighbors(ptr(q), q, scan_, touched);
+  for (const auto& [c, d2] : scan_)
     if (is_core_[c]) maybe_improve_border(q, c, d2);
 }
 
@@ -182,16 +183,15 @@ void IncrementalMuDbscan::recompute_border(PointId q, std::size_t* touched) {
 // Insert.
 // ---------------------------------------------------------------------------
 
-void IncrementalMuDbscan::promote_core(
-    PointId x, const std::vector<std::pair<PointId, double>>* known_nbrs,
-    std::size_t* touched) {
+void IncrementalMuDbscan::promote_core(PointId x, const Neighbors* known_nbrs,
+                                       std::size_t* touched) {
   if (is_core_[x]) return;
   is_core_[x] = 1;
   ++core_count_;
-  std::vector<std::pair<PointId, double>> local;
   if (!known_nbrs) {
-    collect_neighbors(ptr(x), x, local, touched);
-    known_nbrs = &local;
+    scan_.clear();
+    collect_neighbors(ptr(x), x, scan_, touched);
+    known_nbrs = &scan_;
   }
   // Link the new core into the cluster graph: union the clusters of every
   // core neighbor (they all become one — x witnesses the connection).
@@ -239,14 +239,15 @@ PointId IncrementalMuDbscan::insert(std::span<const double> pt) {
   const std::uint64_t edges0 = stats_.graph_edges_repaired;
 
   std::size_t touched = 0;
-  std::vector<std::pair<PointId, double>> nbrs;
-  collect_neighbors(ptr(p), p, nbrs, &touched);
+  nbrs_.clear();
+  collect_neighbors(ptr(p), p, nbrs_, &touched);
 
   // Exact count maintenance (never falls back): insertion only raises
   // counts, so the only status changes are promotions inside N(p) ∪ {p}.
-  std::vector<PointId> promoted;
-  nbr_count_[p] = static_cast<std::uint32_t>(nbrs.size()) + 1;
-  for (const auto& [q, d2] : nbrs) {
+  std::vector<PointId>& promoted = flipped_;
+  promoted.clear();
+  nbr_count_[p] = static_cast<std::uint32_t>(nbrs_.size()) + 1;
+  for (const auto& [q, d2] : nbrs_) {
     ++nbr_count_[q];
     if (!is_core_[q] && nbr_count_[q] >= params_.min_pts) promoted.push_back(q);
   }
@@ -269,10 +270,10 @@ PointId IncrementalMuDbscan::insert(std::span<const double> pt) {
   } else {
     // p's border attachment against the already-existing cores; newly
     // promoted cores improve it below (p is one of their neighbors).
-    for (const auto& [q, d2] : nbrs)
+    for (const auto& [q, d2] : nbrs_)
       if (is_core_[q]) maybe_improve_border(p, q, d2);
     for (PointId x : promoted)
-      promote_core(x, x == p ? &nbrs : nullptr, &touched);
+      promote_core(x, x == p ? &nbrs_ : nullptr, &touched);
   }
 
   finish_update(touched, stats_.graph_edges_repaired - edges0, fell_back);
@@ -289,8 +290,8 @@ bool IncrementalMuDbscan::erase(PointId id) {
   const std::uint64_t edges0 = stats_.graph_edges_repaired;
 
   std::size_t touched = 0;
-  std::vector<std::pair<PointId, double>> nx;
-  collect_neighbors(ptr(id), id, nx, &touched);
+  nbrs_.clear();
+  collect_neighbors(ptr(id), id, nbrs_, &touched);
   const bool was_core = is_core_[id] != 0;
 
   alive_[id] = 0;
@@ -311,22 +312,20 @@ bool IncrementalMuDbscan::erase(PointId id) {
       compact_members(mc);
   }
 
-  // Exact count maintenance: deletion only lowers counts, so the only status
-  // changes are demotions inside N(x).
-  std::vector<PointId> demoted;
-  for (const auto& [q, d2] : nx) {
+  // Failed set F: the nodes whose incident cluster-graph edges vanished —
+  // x if it was core, then every demotion. Deletion only lowers counts, so
+  // the only status changes are demotions inside N(x).
+  std::vector<PointId>& failed = flipped_;
+  failed.clear();
+  if (was_core) failed.push_back(id);
+  for (const auto& [q, d2] : nbrs_) {
     --nbr_count_[q];
     if (is_core_[q] && nbr_count_[q] < params_.min_pts) {
       is_core_[q] = 0;
       --core_count_;
-      demoted.push_back(q);
+      failed.push_back(q);
     }
   }
-
-  // Failed set F: the nodes whose incident cluster-graph edges vanished.
-  std::vector<PointId> failed;
-  if (was_core) failed.push_back(id);
-  failed.insert(failed.end(), demoted.begin(), demoted.end());
   if (failed.empty()) {
     // Core set unchanged — no edge can have disappeared, no border cache
     // entry can have died (caches point at cores only).
@@ -337,14 +336,14 @@ bool IncrementalMuDbscan::erase(PointId id) {
   // Neighborhoods of the failed nodes (flattened): seeds for the split
   // re-check and the candidates for border re-attachment. x's own list was
   // collected pre-erasure; every entry in it is still alive.
-  std::vector<std::pair<PointId, double>> fn_flat;
-  std::vector<std::size_t> fn_off{0};
+  fn_flat_.clear();
+  fn_off_.assign(1, 0);
   for (PointId f : failed) {
     if (f == id)
-      fn_flat.insert(fn_flat.end(), nx.begin(), nx.end());
+      fn_flat_.insert(fn_flat_.end(), nbrs_.begin(), nbrs_.end());
     else
-      collect_neighbors(ptr(f), f, fn_flat, &touched);
-    fn_off.push_back(fn_flat.size());
+      collect_neighbors(ptr(f), f, fn_flat_, &touched);
+    fn_off_.push_back(fn_flat_.size());
   }
 
   const std::size_t cap = cfg_.max_touched_mcs_per_update;
@@ -353,11 +352,10 @@ bool IncrementalMuDbscan::erase(PointId id) {
     rebuild_labels_global();
     fell_back = true;
   } else {
-    repair_after_failures(failed, fn_flat, fn_off, &touched);
-    if (cap != 0 && touched > cap) {
-      // The scoped BFS blew past the cap mid-flight (repair_after_failures
-      // stops enqueuing work once over budget; any partial relabeling is
-      // overwritten here). Predictable-cost exact relabel instead.
+    if (!repair_after_failures(&touched)) {
+      // The split walk blew past the cap mid-flight (it stops once over
+      // budget; any partial relabeling is overwritten here).
+      // Predictable-cost exact relabel instead.
       rebuild_labels_global();
       fell_back = true;
     } else {
@@ -368,14 +366,14 @@ bool IncrementalMuDbscan::erase(PointId id) {
         if (f == id) continue;
         border_core_[f] = kInvalidPoint;
         border_d2_[f] = kInf;
-        for (std::size_t k = fn_off[i]; k < fn_off[i + 1]; ++k)
-          if (is_core_[fn_flat[k].first])
-            maybe_improve_border(f, fn_flat[k].first, fn_flat[k].second);
+        for (std::size_t k = fn_off_[i]; k < fn_off_[i + 1]; ++k)
+          if (is_core_[fn_flat_[k].first])
+            maybe_improve_border(f, fn_flat_[k].first, fn_flat_[k].second);
       }
       // Borders whose cached nearest core died or was demoted: they are
       // within eps of that core, so they appear in its neighbor list.
       const std::uint32_t gen = ++stamp_gen_;
-      for (const auto& [q, d2] : fn_flat) {
+      for (const auto& [q, d2] : fn_flat_) {
         if (!alive_[q] || is_core_[q] || stamp_[q] == gen) continue;
         stamp_[q] = gen;
         const PointId bc = border_core_[q];
@@ -394,95 +392,187 @@ PointId IncrementalMuDbscan::erase_equal(std::span<const double> pt) {
     throw std::invalid_argument(
         "IncrementalMuDbscan::erase_equal: wrong dimension");
   const std::size_t bytes = dim_ * sizeof(double);
-  for (PointId id = 0; id < total_; ++id) {
-    if (!alive_[id]) continue;
-    if (std::memcmp(ptr(id), pt.data(), bytes) == 0) {
-      erase(id);
-      return id;
+  PointId hit = kInvalidPoint;
+  if (std::all_of(pt.begin(), pt.end(),
+                  [](double v) { return std::isfinite(v); })) {
+    // A bitwise-equal point sits at pt, and every alive point is strictly
+    // within eps of its MC's centre, so its MC is among the centres within
+    // eps of pt (the tree applies the same sq_dist, non-strict here).
+    cands_.clear();
+    centers_.query_ball(pt, params_.eps, cands_, /*strict=*/false);
+    for (PointId cid : cands_) {
+      const Mc& mc = mcs_[cid];
+      if (mc.alive_members == 0) continue;
+      for (PointId m : mc.members)
+        if (m < hit && alive_[m] && std::memcmp(ptr(m), pt.data(), bytes) == 0)
+          hit = m;
     }
+  } else {
+    // A non-finite point may have no MC centre within eps (it is at no
+    // finite distance from anything): scan.
+    for (PointId id = 0; id < total_ && hit == kInvalidPoint; ++id)
+      if (alive_[id] && std::memcmp(ptr(id), pt.data(), bytes) == 0) hit = id;
   }
-  return kInvalidPoint;
+  if (hit != kInvalidPoint) erase(hit);
+  return hit;
 }
 
-void IncrementalMuDbscan::repair_after_failures(
-    const std::vector<PointId>& failed,
-    const std::vector<std::pair<PointId, double>>& failed_nbrs_flat,
-    const std::vector<std::size_t>& failed_nbrs_off, std::size_t* touched) {
-  // Group the failed nodes by their old cluster and collect each affected
-  // cluster's seeds: the surviving cores adjacent to a failure. Every
-  // surviving component of the cluster contains a seed (header proof), so a
-  // BFS over the seeds enumerates the split exactly — and can stop the
-  // moment one traversal has covered every seed (no split).
-  std::vector<std::int64_t> roots;
-  std::vector<std::vector<PointId>> seeds;
-  for (std::size_t i = 0; i < failed.size(); ++i) {
-    const std::int64_t r = find_label(core_label_[failed[i]]);
-    std::size_t gi = 0;
-    while (gi < roots.size() && roots[gi] != r) ++gi;
-    if (gi == roots.size()) {
-      roots.push_back(r);
-      seeds.emplace_back();
-    }
-    for (std::size_t k = failed_nbrs_off[i]; k < failed_nbrs_off[i + 1]; ++k) {
-      const PointId q = failed_nbrs_flat[k].first;
-      if (is_core_[q]) seeds[gi].push_back(q);
-    }
+bool IncrementalMuDbscan::repair_after_failures(std::size_t* touched) {
+  // Old clusters are read before any relabel (fresh labels never touch the
+  // old roots). Each failed core leaves its cluster's size, and each
+  // affected cluster is checked once, from its first failure on.
+  for (PointId f : flipped_) --label_size_[find_label(core_label_[f])];
+  for (std::size_t i = 0; i < flipped_.size(); ++i) {
+    const std::int64_t root = find_label(core_label_[flipped_[i]]);
+    bool checked = false;
+    for (std::size_t j = 0; j < i && !checked; ++j)
+      checked = find_label(core_label_[flipped_[j]]) == root;
+    if (!checked && !split_if_disconnected(root, i, touched)) return false;
   }
+  return true;
+}
 
-  const std::size_t cap = cfg_.max_touched_mcs_per_update;
-  std::vector<std::pair<PointId, double>> nbrs;
-  for (std::size_t gi = 0; gi < roots.size(); ++gi) {
-    std::vector<PointId>& S = seeds[gi];
-    std::sort(S.begin(), S.end());
-    S.erase(std::unique(S.begin(), S.end()), S.end());
-    if (S.empty()) continue;  // the whole cluster lost its cores
-
-    const std::uint32_t gen_seed = ++stamp_gen_;
-    for (PointId s : S) stamp_[s] = gen_seed;
-    const std::uint32_t gen_vis = ++stamp_gen_;
-    std::size_t seeds_left = S.size();
-    std::vector<std::vector<PointId>> comps;
-    bool no_split = false;
-
-    for (PointId s : S) {
-      if (stamp_[s] == gen_vis) continue;
-      comps.emplace_back();
-      std::vector<PointId>& comp = comps.back();
-      --seeds_left;  // s is a seed by construction
-      stamp_[s] = gen_vis;
-      comp.push_back(s);
-      for (std::size_t qi = 0; qi < comp.size(); ++qi) {
-        if (comps.size() == 1 && seeds_left == 0) {
-          no_split = true;  // every seed in one component
-          break;
-        }
-        if (cap != 0 && *touched > cap) return;  // caller falls back
-        nbrs.clear();
-        collect_neighbors(ptr(comp[qi]), comp[qi], nbrs, touched);
-        for (const auto& [q, d2] : nbrs) {
-          if (!is_core_[q] || stamp_[q] == gen_vis) continue;
-          if (stamp_[q] == gen_seed) --seeds_left;
-          stamp_[q] = gen_vis;
-          comp.push_back(q);
-        }
+bool IncrementalMuDbscan::split_if_disconnected(std::int64_t root,
+                                                std::size_t first,
+                                                std::size_t* touched) {
+  // Round 0: group the seeds by seed-seed edges, no range query. Group g
+  // lives in fronts_[g].todo; a group emptied by a merge stays as a hole.
+  std::size_t ngroups = 0;
+  std::size_t open = 0;
+  auto group_seed = [&](PointId s) {
+    const double* ps = ptr(s);
+    std::size_t into = ngroups;
+    for (std::size_t g = 0; g < ngroups; ++g) {
+      std::vector<PointId>& grp = fronts_[g].todo;
+      if (grp.empty() ||
+          std::none_of(grp.rbegin(), grp.rend(), [&](PointId m) {
+            return sq_dist(ps, ptr(m), dim_) < eps2_;
+          }))
+        continue;
+      if (into == ngroups) {
+        into = g;
+      } else {  // s bridges two groups
+        std::vector<PointId>& dst = fronts_[into].todo;
+        dst.insert(dst.end(), grp.begin(), grp.end());
+        grp.clear();
+        --open;
       }
-      if (no_split || seeds_left == 0) break;
     }
-    if (no_split || comps.size() <= 1) continue;
-
-    // Real split: the largest surviving component keeps the old label, the
-    // others get fresh ones. Borders follow via their nearest-core cache.
-    std::size_t keep = 0;
-    for (std::size_t k = 1; k < comps.size(); ++k)
-      if (comps[k].size() > comps[keep].size()) keep = k;
-    for (std::size_t k = 0; k < comps.size(); ++k) {
-      if (k == keep) continue;
-      const std::int64_t nl = fresh_label();
-      label_size_[nl] = static_cast<std::int64_t>(comps[k].size());
-      for (PointId m : comps[k]) core_label_[m] = nl;
-      stats_.graph_edges_repaired += comps[k].size();
+    if (into == ngroups) {
+      if (fronts_.size() == ngroups) fronts_.emplace_back();
+      fronts_[ngroups].todo.clear();
+      ++ngroups;
+      ++open;
+    }
+    fronts_[into].todo.push_back(s);
+  };
+  // The seeds: cores in the neighborhoods of this cluster's failures, each
+  // taken once.
+  const std::uint32_t seen = ++stamp_gen_;
+  for (std::size_t i = first; i < flipped_.size(); ++i) {
+    if (find_label(core_label_[flipped_[i]]) != root) continue;
+    for (std::size_t k = fn_off_[i]; k < fn_off_[i + 1]; ++k) {
+      const PointId s = fn_flat_[k].first;
+      if (!is_core_[s] || stamp_[s] == seen) continue;
+      stamp_[s] = seen;
+      group_seed(s);
     }
   }
+  // Certified: every seed in one component (no seed: the cluster lost all
+  // its cores).
+  if (open <= 1) return true;
+
+  // Round 1: one frontier per group, stepped round-robin, one expansion per
+  // turn in FIFO order, so frontiers grow outward from the failure and meet
+  // near it. A claimed core's stamp is base + its claiming frontier.
+  const std::uint32_t base = stamp_gen_ + 1;
+  stamp_gen_ += static_cast<std::uint32_t>(ngroups);
+  auto claimed_by = [&](PointId q) { return stamp_[q] - base; };
+  if (front_parent_.size() < ngroups) front_parent_.resize(ngroups);
+  open_.clear();
+  exhausted_.clear();
+  for (std::size_t g = 0; g < ngroups; ++g) {
+    Frontier& fr = fronts_[g];
+    if (fr.todo.empty()) continue;
+    const auto id = static_cast<std::uint32_t>(g);
+    fr.done.clear();
+    fr.next = 0;
+    front_parent_[g] = id;
+    open_.push_back(id);
+    for (PointId m : fr.todo) stamp_[m] = base + id;
+  }
+  const std::size_t cap = cfg_.max_touched_mcs_per_update;
+  for (std::size_t turn = 0; open > 1;) {
+    if (turn >= open_.size()) turn = 0;
+    std::uint32_t cur = open_[turn];
+    if (front_root(cur) != cur || !fronts_[cur].waiting()) {
+      // Merged into another frontier, or closed: a complete component.
+      if (front_root(cur) == cur) {
+        exhausted_.push_back(cur);
+        --open;
+      }
+      open_[turn] = open_.back();
+      open_.pop_back();
+      continue;
+    }
+    if (cap != 0 && *touched > cap) return false;  // caller falls back
+    const PointId c = fronts_[cur].todo[fronts_[cur].next++];
+    fronts_[cur].done.push_back(c);
+    scan_.clear();
+    collect_neighbors(ptr(c), c, scan_, touched);
+    for (const auto& [q, d2] : scan_) {
+      if (!is_core_[q]) continue;
+      if (claimed_by(q) >= ngroups) {
+        stamp_[q] = base + cur;
+        fronts_[cur].todo.push_back(q);
+      } else if (const std::uint32_t o = front_root(claimed_by(q)); o != cur) {
+        cur = merge_fronts(cur, o);  // o is open: closed ones are unreachable
+        --open;
+      }
+    }
+    ++turn;
+  }
+
+  // Every exhausted frontier is a whole component split off the cluster;
+  // the one still open keeps the old label without being enumerated.
+  for (std::uint32_t e : exhausted_) {
+    const std::vector<PointId>& comp = fronts_[e].done;
+    const std::int64_t nl = fresh_label();
+    const auto size = static_cast<std::int64_t>(comp.size());
+    label_size_[nl] = size;
+    label_size_[root] -= size;
+    for (PointId m : comp) core_label_[m] = nl;
+    stats_.graph_edges_repaired += comp.size();
+  }
+  return true;
+}
+
+std::uint32_t IncrementalMuDbscan::front_root(std::uint32_t f) {
+  while (front_parent_[f] != f) {
+    front_parent_[f] = front_parent_[front_parent_[f]];
+    f = front_parent_[f];
+  }
+  return f;
+}
+
+std::uint32_t IncrementalMuDbscan::merge_fronts(std::uint32_t a,
+                                                std::uint32_t b) {
+  // Union by size: the smaller frontier's lists move into the larger one.
+  auto size = [&](std::uint32_t f) {
+    return fronts_[f].done.size() + fronts_[f].todo.size() - fronts_[f].next;
+  };
+  if (size(a) < size(b)) std::swap(a, b);
+  Frontier& big = fronts_[a];
+  Frontier& small = fronts_[b];
+  big.done.insert(big.done.end(), small.done.begin(), small.done.end());
+  big.todo.insert(big.todo.end(),
+                  small.todo.begin() + static_cast<std::ptrdiff_t>(small.next),
+                  small.todo.end());
+  small.done.clear();
+  small.todo.clear();
+  small.next = 0;
+  front_parent_[b] = a;
+  return a;
 }
 
 // ---------------------------------------------------------------------------
@@ -666,6 +756,14 @@ void IncrementalMuDbscan::check_invariants() const {
       throw std::logic_error("incremental: component carries two labels");
     }
   }
+  // Every root's size is the number of alive cores it labels.
+  std::vector<std::int64_t> cores_under(label_parent_.size(), 0);
+  for (PointId i = 0; i < total_; ++i)
+    if (alive_[i] && is_core_[i]) ++cores_under[find_label(core_label_[i])];
+  for (std::size_t l = 0; l < label_parent_.size(); ++l)
+    if (label_parent_[l] == static_cast<std::int64_t>(l) &&
+        label_size_[l] != cores_under[l])
+      throw std::logic_error("incremental: label size drift");
 }
 
 }  // namespace udb

@@ -20,14 +20,29 @@
 //
 //   ERASE x: neighbors lose one count; cores falling below MinPts are
 //   *demoted*. The only edges that can disappear are incident to the failed
-//   set F = {x if core} ∪ demoted, so a cluster can only split along F. The
-//   scoped re-check seeds a BFS from the surviving cores adjacent to F:
-//   every surviving component of an affected cluster contains such a seed
-//   (walk any old core-path toward the failure — the first failed node's
-//   predecessor is still core, adjacent to F, and in the walker's
-//   component). The BFS stops as soon as one traversal has covered every
-//   seed (no split, the common case); only a real split pays for component
-//   enumeration, and only over the affected cluster.
+//   set F = {x if core} ∪ demoted, so a cluster can only split along F. Its
+//   *seeds* are the surviving cores strictly within eps of F, and every
+//   surviving component of an affected cluster contains one: walk any old
+//   core-path from a survivor toward the failure — the first failed node's
+//   predecessor is still core, adjacent to F, and in the walker's component.
+//   Connectivity of the survivors is therefore decided by the seeds alone,
+//   in two rounds whose cost follows the smaller side of a split:
+//
+//   Round 0 (no range query) unions seeds joined by a seed-seed edge, each
+//   one the same strict sq_dist < eps^2 test collect_neighbors applies. The
+//   seeds of one failed node all lie within eps of it, so in a dense region
+//   they collapse to one group — the certificate that nothing split.
+//
+//   Round 1 (several groups left) runs one BFS frontier per group, stepped
+//   round-robin one range query at a time. Frontiers that meet merge. A
+//   frontier with nothing left to expand is closed under core adjacency: a
+//   complete component. The walk stops when a single frontier is still
+//   open; every exhausted one takes a fresh label, and the open one — never
+//   enumerated — keeps the old label. Round-robin stepping means the open
+//   frontier has expanded no more cores than the last one to close, so the
+//   walk costs O(groups x largest component split off) queries, or, when
+//   nothing splits, what the frontiers spend until they meet — never the
+//   size of the cluster that keeps the label.
 //
 // Border points are maintained as a nearest-core cache ((d2, id)-minimal
 // core strictly within eps), which makes result() canonical (see
@@ -40,6 +55,10 @@
 // its own maintained counts — still exact, predictable cost, counted in
 // inc_full_fallbacks. Counts and core flags are always maintained exactly
 // and never fall back.
+//
+// Threading: single writer. Updates reuse member scratch buffers, and even
+// the const readers (result(), via the label union-find's path halving)
+// write to the object, so all access must be serialized by the caller.
 
 #pragma once
 
@@ -141,11 +160,12 @@ class IncrementalMuDbscan {
            static_cast<std::size_t>(id % kChunkPoints) * dim_;
   }
 
-  // All alive points strictly within eps of q (excluding `exclude`), as
-  // (id, squared distance) pairs. Bumps *touched by the candidate MCs
-  // scanned.
-  void collect_neighbors(const double* q, PointId exclude,
-                         std::vector<std::pair<PointId, double>>& out,
+  using Neighbors = std::vector<std::pair<PointId, double>>;
+
+  // Appends all alive points strictly within eps of q (excluding
+  // `exclude`), as (id, squared distance) pairs. Bumps *touched by the
+  // candidate MCs scanned.
+  void collect_neighbors(const double* q, PointId exclude, Neighbors& out,
                          std::size_t* touched) const;
 
   void assign_to_mc(PointId id, const double* pt);
@@ -157,18 +177,22 @@ class IncrementalMuDbscan {
   std::int64_t fresh_label();
   std::int64_t union_labels(std::int64_t a, std::int64_t b);
 
-  void promote_core(PointId x,
-                    const std::vector<std::pair<PointId, double>>* known_nbrs,
+  void promote_core(PointId x, const Neighbors* known_nbrs,
                     std::size_t* touched);
   void maybe_improve_border(PointId q, PointId core, double d2);
   void recompute_border(PointId q, std::size_t* touched);
 
-  // Scoped split re-check after an erasure (docs/INCREMENTAL.md §Delete).
-  void repair_after_failures(const std::vector<PointId>& failed,
-                             const std::vector<std::pair<PointId, double>>&
-                                 failed_nbrs_flat,
-                             const std::vector<std::size_t>& failed_nbrs_off,
+  // Scoped split re-check after an erasure (docs/INCREMENTAL.md §Delete)
+  // over the failed set in flipped_ and its neighborhoods fn_flat_/fn_off_.
+  // Returns false if the blast-radius cap was exceeded mid-walk (labels are
+  // then partial and the caller relabels globally).
+  bool repair_after_failures(std::size_t* touched);
+  // Rounds 0 and 1 for one affected cluster, whose first failure is
+  // flipped_[first]; returns as above.
+  bool split_if_disconnected(std::int64_t root, std::size_t first,
                              std::size_t* touched);
+  [[nodiscard]] std::uint32_t front_root(std::uint32_t f);
+  std::uint32_t merge_fronts(std::uint32_t a, std::uint32_t b);
 
   // Fallback: global relabel + border rebuild from maintained counts.
   void rebuild_labels_global();
@@ -213,6 +237,26 @@ class IncrementalMuDbscan {
   // Per-update visit stamps (BFS visited set without clearing).
   mutable std::vector<std::uint32_t> stamp_;
   mutable std::uint32_t stamp_gen_ = 0;
+
+  // Reusable scratch for the update path (single writer, see top).
+  mutable std::vector<PointId> cands_;  // collect_neighbors' candidate MCs
+  Neighbors nbrs_;    // N(p) of the point being inserted or erased
+  Neighbors scan_;    // one-off scans: promotions, borders, BFS expansions
+  std::vector<PointId> flipped_;  // promoted (insert) / failed set F (erase)
+  Neighbors fn_flat_;             // neighborhoods of F, flattened ...
+  std::vector<std::size_t> fn_off_;  // ... with per-node offsets
+
+  // Split-check frontiers (Round 0 groups become Round 1 frontiers).
+  struct Frontier {
+    std::vector<PointId> done;  // expanded cores
+    std::vector<PointId> todo;  // claimed cores, a FIFO from `next` on
+    std::size_t next = 0;
+    [[nodiscard]] bool waiting() const { return next < todo.size(); }
+  };
+  std::vector<Frontier> fronts_;
+  std::vector<std::uint32_t> front_parent_;  // merged frontiers (union-find)
+  std::vector<std::uint32_t> open_;   // frontiers still stepped
+  std::vector<std::uint32_t> exhausted_;
 
   Stats stats_;
 };

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -146,6 +149,61 @@ TEST(Incremental, DuplicatesAndSignedZeroEraseByEquality) {
   ASSERT_NO_THROW(eng.check_invariants());
 }
 
+// The lowest alive id bitwise equal to pt, by a scan over every id.
+PointId scan_equal(const IncrementalMuDbscan& eng,
+                   const std::vector<double>& pt) {
+  for (PointId id = 0; id < eng.total(); ++id)
+    if (eng.alive(id) && std::memcmp(eng.point(id).data(), pt.data(),
+                                     pt.size() * sizeof(double)) == 0)
+      return id;
+  return kInvalidPoint;
+}
+
+TEST(Incremental, EraseEqualAgreesWithScan) {
+  // Lattice coordinates make duplicates common; signed zeros and 1e300
+  // offsets stress the bitwise rule and the centre lookup; lookups include
+  // absent points. Every answer must be the scan's lowest alive id.
+  const DbscanParams prm{0.7, 3};
+  IncrementalMuDbscan eng(2, prm);
+  Rng rng(211);
+  auto coord = [&rng] {
+    const double v = 0.5 * static_cast<double>(rng.uniform_index(9)) - 2.0;
+    return (v == 0.0 && rng.uniform_index(2) == 0) ? -0.0 : v;
+  };
+  std::vector<std::vector<double>> pts;
+  for (int i = 0; i < 400; ++i) {
+    const double off = i % 50 == 0 ? 1e300 : 0.0;
+    pts.push_back({coord() + off, coord()});
+    (void)eng.insert(pts.back());
+  }
+  for (int k = 0; k < 500; ++k) {
+    std::vector<double> q = rng.uniform_index(5) == 0
+                                ? std::vector<double>{coord() + 0.25, coord()}
+                                : pts[rng.uniform_index(pts.size())];
+    const PointId want = scan_equal(eng, q);
+    ASSERT_EQ(eng.erase_equal(q), want) << "lookup " << k;
+    if (want != kInvalidPoint) {
+      EXPECT_FALSE(eng.alive(want));
+    }
+  }
+  expect_matches_batch(eng, 1, "after bitwise erasures");
+  ASSERT_NO_THROW(eng.check_invariants());
+
+  // Non-finite coordinates have no centre within eps: the scan path.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> odd = {
+      {nan, 1.0}, {inf, 2.0}, {-inf, inf}, {nan, 1.0}};
+  std::vector<PointId> odd_ids;
+  for (const std::vector<double>& p : odd) odd_ids.push_back(eng.insert(p));
+  EXPECT_EQ(eng.erase_equal(odd[3]), odd_ids[0]);  // NaN matches by payload
+  EXPECT_EQ(eng.erase_equal(odd[1]), odd_ids[1]);
+  EXPECT_EQ(eng.erase_equal(odd[2]), odd_ids[2]);
+  EXPECT_EQ(eng.erase_equal(odd[0]), odd_ids[3]);
+  EXPECT_EQ(eng.erase_equal(odd[0]), kInvalidPoint);
+  ASSERT_NO_THROW(eng.check_invariants());
+}
+
 TEST(Incremental, DegenerateAllCoincidentPoints) {
   // n identical points: all core while n >= MinPts; erasing below the
   // threshold demotes the whole cluster to noise at once (the failed set is
@@ -259,6 +317,294 @@ TEST(Incremental, MetricsFlowToRegistry) {
   EXPECT_GT(snap.counter(obs::Counter::kIncGraphEdgesRepaired), 0u);
   // One blast-radius observation per update.
   EXPECT_EQ(snap.hist(obs::Hist::kIncBlastRadius).count, 50u);
+}
+
+// ---------------------------------------------------------------------------
+// Split detection (docs/INCREMENTAL.md §Delete): adversarial erasures, each
+// checked against the canonical batch answer and the brute-force audit.
+// ---------------------------------------------------------------------------
+
+std::vector<PointId> insert_all(IncrementalMuDbscan& eng,
+                                const std::vector<std::vector<double>>& pts) {
+  std::vector<PointId> ids;
+  for (const std::vector<double>& p : pts) ids.push_back(eng.insert(p));
+  return ids;
+}
+
+void expect_exact(const IncrementalMuDbscan& eng, const std::string& ctx) {
+  expect_matches_batch(eng, 1, ctx);
+  ASSERT_NO_THROW(eng.check_invariants()) << ctx;
+}
+
+TEST(IncrementalSplit, SeedsExactlyEpsApartAreNotAdjacent) {
+  // Erasing x leaves two cores a=(0,0) and b=(3,4) at distance exactly
+  // eps = 5 (squared 25, exact in binary) and no other path between their
+  // sides. A seed certificate that accepted d == eps would keep one cluster.
+  const DbscanParams prm{5.0, 3};
+  IncrementalMuDbscan eng(2, prm);
+  const std::vector<PointId> ids = insert_all(
+      eng, {{0, 0}, {-1, 0}, {0, -1}, {3, 4}, {4, 4}, {3, 5}, {1.5, 2}});
+  EXPECT_EQ(eng.result().num_clusters(), 1u);
+  const std::uint64_t repairs = eng.stats().graph_edges_repaired;
+  ASSERT_TRUE(eng.erase(ids[6]));
+  EXPECT_EQ(eng.result().num_clusters(), 2u);
+  EXPECT_EQ(eng.num_core(), 6u);
+  EXPECT_EQ(eng.stats().graph_edges_repaired, repairs + 3);  // one side
+  expect_exact(eng, "exact-eps seeds");
+
+  // The same in 1-D, where the seeds' sides are chains.
+  IncrementalMuDbscan line(1, {1.0, 3});
+  const std::vector<PointId> lids = insert_all(
+      line, {{-0.5}, {-0.25}, {0.0}, {1.0}, {1.25}, {1.5}, {0.5}});
+  EXPECT_EQ(line.result().num_clusters(), 1u);
+  ASSERT_TRUE(line.erase(lids[6]));
+  EXPECT_EQ(line.result().num_clusters(), 2u);
+  expect_exact(line, "exact-eps seeds, 1-D");
+}
+
+// Three arms of `lens` points spaced 0.4 (eps = 1, MinPts = 3) leaving a hub
+// at the origin 0.6 from each arm's first point; arm starts are 0.6*sqrt(3)
+// > eps apart, so the hub is the only link. Returns the hub's id.
+PointId build_star(IncrementalMuDbscan& eng, const std::size_t (&lens)[3]) {
+  const double dirs[3][2] = {{0.0, 1.0}, {-0.8660254037844386, -0.5},
+                             {0.8660254037844386, -0.5}};
+  for (std::size_t a = 0; a < 3; ++a)
+    for (std::size_t k = 0; k < lens[a]; ++k) {
+      const double r = 0.6 + 0.4 * static_cast<double>(k);
+      const double pt[2] = {r * dirs[a][0], r * dirs[a][1]};
+      (void)eng.insert(pt);
+    }
+  const double hub[2] = {0.0, 0.0};
+  return eng.insert(hub);
+}
+
+TEST(IncrementalSplit, ThreeWaySplit) {
+  const DbscanParams prm{1.0, 3};
+  const std::size_t kShapes[][3] = {{4, 9, 25}, {25, 9, 4}, {7, 7, 7}};
+  for (const auto& lens : kShapes) {
+    IncrementalMuDbscan eng(2, prm);
+    const PointId hub = build_star(eng, lens);
+    const std::string ctx = "arms " + std::to_string(lens[0]) + "/" +
+                            std::to_string(lens[1]) + "/" +
+                            std::to_string(lens[2]);
+    EXPECT_EQ(eng.result().num_clusters(), 1u) << ctx;
+    ASSERT_TRUE(eng.erase(hub));
+    EXPECT_EQ(eng.result().num_clusters(), 3u) << ctx;
+    expect_exact(eng, ctx);
+    // Regrowing the hub merges the three again.
+    const double at[2] = {0.0, 0.0};
+    (void)eng.insert(at);
+    EXPECT_EQ(eng.result().num_clusters(), 1u) << ctx;
+    expect_exact(eng, ctx + " regrown");
+  }
+}
+
+// A dense side x side lattice (spacing 0.3, side >= 21) joined through a
+// 0.5-spaced bridge along y = 6 to a 4x4 lattice; built for eps = 1,
+// MinPts = 3. Returns the id of the bridge's middle point.
+PointId build_dumbbell(IncrementalMuDbscan& eng, int side) {
+  for (int i = 0; i < side; ++i)
+    for (int j = 0; j < side; ++j) {
+      const double pt[2] = {0.3 * i, 0.3 * j};
+      (void)eng.insert(pt);
+    }
+  const double x0 = 0.3 * (side - 1);
+  PointId mid = kInvalidPoint;
+  for (int k = 1; k <= 9; ++k) {
+    const double pt[2] = {x0 + 0.5 * k, 6.0};
+    const PointId id = eng.insert(pt);
+    if (k == 5) mid = id;
+  }
+  for (int i = 0; i < 4; ++i)
+    for (int j = 0; j < 4; ++j) {
+      const double pt[2] = {x0 + 5.3 + 0.3 * i, 5.55 + 0.3 * j};
+      (void)eng.insert(pt);
+    }
+  return mid;
+}
+
+TEST(IncrementalSplit, DumbbellSmallSideExhaustsFirst) {
+  // Bridge points have two neighbours each (0.5 away; 1.0 is not < eps),
+  // so with MinPts = 3 they are cores; erasing the middle one demotes its
+  // two bridge neighbours and splits the dumbbell. The small side closes
+  // first; the big side keeps the old label and must not be walked: the
+  // split costs far fewer MC scans than one query per big-side core.
+  const DbscanParams prm{1.0, 3};
+  IncrementalMuDbscan eng(2, prm);
+  const PointId mid = build_dumbbell(eng, 40);
+  const std::size_t big_cores = 40 * 40;
+  EXPECT_EQ(eng.result().num_clusters(), 1u);
+  const std::uint64_t touched = eng.stats().mcs_touched;
+  const std::uint64_t repairs = eng.stats().graph_edges_repaired;
+  ASSERT_TRUE(eng.erase(mid));
+  EXPECT_EQ(eng.result().num_clusters(), 2u);
+  // Relabel writes: the small lattice plus the 3 bridge cores left on its
+  // side.
+  EXPECT_EQ(eng.stats().graph_edges_repaired - repairs, 16u + 3u);
+  EXPECT_LT(eng.stats().mcs_touched - touched, big_cores / 4);
+  expect_exact(eng, "dumbbell");
+}
+
+TEST(IncrementalSplit, FailuresInTwoClustersSplitBoth) {
+  // eps = 1, MinPts = 4. A border point x = (0, 0) is the fourth neighbour
+  // of a = (-0.9, 0) and of b = (0.9, 0), the bridges of two separate
+  // clusters, each joining a vertical chain above to one below (chain
+  // points at y = +-0.6, +-1.0, ..., +-3.0; the chains' ends are 1.2 apart).
+  // Erasing x (not a core) demotes a and b: the failed set spans two
+  // clusters, and both split.
+  const DbscanParams prm{1.0, 4};
+  IncrementalMuDbscan eng(2, prm);
+  for (const double cx : {-0.9, 0.9}) {
+    for (int k = 0; k < 7; ++k) {
+      const double y = 0.6 + 0.4 * k;
+      (void)eng.insert(std::vector{cx, y});
+      (void)eng.insert(std::vector{cx, -y});
+    }
+    (void)eng.insert(std::vector{cx, 0.0});
+  }
+  const PointId x = eng.insert(std::vector{0.0, 0.0});
+  EXPECT_EQ(eng.result().num_clusters(), 2u);
+  const std::size_t cores = eng.num_core();
+  ASSERT_TRUE(eng.erase(x));
+  EXPECT_EQ(eng.num_core(), cores - 2);
+  EXPECT_EQ(eng.result().num_clusters(), 4u);
+  expect_exact(eng, "two clusters split by one erase");
+}
+
+TEST(IncrementalSplit, SignedZeroTwinsAndDuplicateSeeds) {
+  // 1-D, eps = 0.6, MinPts = 3. Erasing x = 0.5 leaves the -0.0/+0.0 twins
+  // and the duplicated 1.0 as seeds on either side: each pair is one group
+  // (distance 0), the two groups are 0.5 + 0.5 apart through x only.
+  const DbscanParams prm{0.6, 3};
+  IncrementalMuDbscan eng(1, prm);
+  const std::vector<PointId> ids =
+      insert_all(eng, {{-1.5}, {-1.0}, {-1.0}, {-0.5}, {-0.5}, {-0.0}, {0.0},
+                       {1.0}, {1.0}, {1.5}, {0.5}});
+  EXPECT_EQ(eng.result().num_clusters(), 1u);
+  ASSERT_TRUE(eng.erase(ids[10]));
+  EXPECT_EQ(eng.result().num_clusters(), 2u);
+  expect_exact(eng, "twins split");
+  // Bitwise erasure keeps the twins apart: -0.0 takes only id 5.
+  const double neg_zero[1] = {-0.0};
+  EXPECT_EQ(eng.erase_equal(neg_zero), ids[5]);
+  EXPECT_EQ(eng.erase_equal(neg_zero), kInvalidPoint);
+  expect_exact(eng, "after erasing -0.0");
+  const double one[1] = {1.0};
+  EXPECT_EQ(eng.erase_equal(one), ids[7]);
+  EXPECT_EQ(eng.erase_equal(one), ids[8]);
+  expect_exact(eng, "after erasing both 1.0");
+
+  // Duplicates of the erased core itself: every seed sits at distance 0,
+  // Round 0 certifies, nothing is relabeled.
+  IncrementalMuDbscan dup(2, {1.0, 3});
+  std::vector<PointId> dids;
+  for (int i = 0; i < 6; ++i) dids.push_back(dup.insert(std::vector{2.0, 2.0}));
+  const std::uint64_t repairs = dup.stats().graph_edges_repaired;
+  const std::uint64_t touched = dup.stats().mcs_touched;
+  ASSERT_TRUE(dup.erase(dids[2]));
+  EXPECT_EQ(dup.stats().graph_edges_repaired, repairs);
+  EXPECT_EQ(dup.stats().mcs_touched - touched, 1u);  // N(x) only
+  expect_exact(dup, "duplicate seeds");
+}
+
+TEST(IncrementalSplit, EveryCapFallsBackExactly) {
+  // Sweep the blast-radius cap from 1 upward over the dumbbell split: small
+  // caps trip before the walk, middling ones inside Round 1, large ones not
+  // at all. Every outcome must be the exact answer. A fallback's erase
+  // records the MCs touched when it gave up: the same for every cap that
+  // trips before the walk, more for one that trips inside it.
+  std::vector<std::uint64_t> tripped_at;
+  for (std::size_t cap = 1; cap <= 256; cap *= 2) {
+    IncrementalMuDbscan::Config cfg;
+    cfg.max_touched_mcs_per_update = cap;
+    IncrementalMuDbscan eng(2, {1.0, 3}, cfg);
+    const PointId mid = build_dumbbell(eng, 21);
+    const std::uint64_t before = eng.stats().full_fallbacks;
+    const std::uint64_t touched = eng.stats().mcs_touched;
+    ASSERT_TRUE(eng.erase(mid));
+    if (eng.stats().full_fallbacks > before)
+      tripped_at.push_back(eng.stats().mcs_touched - touched);
+    EXPECT_EQ(eng.result().num_clusters(), 2u) << "cap " << cap;
+    expect_exact(eng, "cap " + std::to_string(cap));
+  }
+  ASSERT_FALSE(tripped_at.empty());
+  EXPECT_GT(*std::max_element(tripped_at.begin(), tripped_at.end()),
+            *std::min_element(tripped_at.begin(), tripped_at.end()))
+      << "no cap tripped inside the split walk";
+
+  IncrementalMuDbscan::Config cfg;
+  cfg.max_touched_mcs_per_update = 1;
+  IncrementalMuDbscan star(2, {1.0, 3}, cfg);
+  const std::size_t lens[3] = {5, 6, 7};
+  const PointId hub = build_star(star, lens);
+  const std::uint64_t before = star.stats().full_fallbacks;
+  ASSERT_TRUE(star.erase(hub));
+  EXPECT_EQ(star.stats().full_fallbacks, before + 1);
+  EXPECT_EQ(star.result().num_clusters(), 3u);
+  expect_exact(star, "cap 1 star");
+}
+
+TEST(IncrementalSplit, MatchesBatchAfterEveryEraseOnFilaments) {
+  // Thin random filaments split on most core erasures: audit every step.
+  const DbscanParams prm{0.5, 3};
+  Rng rng(101);
+  IncrementalMuDbscan eng(2, prm);
+  std::vector<PointId> ids;
+  for (int f = 0; f < 4; ++f) {
+    const double y = 3.0 * f;
+    for (int k = 0; k < 40; ++k) {
+      const double pt[2] = {0.3 * k + 0.1 * rng.normal(),
+                            y + 0.05 * rng.normal()};
+      ids.push_back(eng.insert(pt));
+    }
+  }
+  const std::uint64_t repairs = eng.stats().graph_edges_repaired;
+  for (int step = 0; step < 60; ++step) {
+    const std::size_t j = rng.uniform_index(ids.size());
+    ASSERT_TRUE(eng.erase(ids[j]));
+    ids[j] = ids.back();
+    ids.pop_back();
+    expect_exact(eng, "filament erase " + std::to_string(step));
+  }
+  EXPECT_GT(eng.stats().graph_edges_repaired, repairs);  // splits happened
+}
+
+TEST(IncrementalCost, NonSplittingDeleteCostsAboutOneInsert) {
+  // A core erased at the centre of a 5000-point blob splits nothing. Its
+  // seeds all lie within eps of it, so Round 0 certifies the survivors
+  // without a range query: the erase scans about the MCs an insert at the
+  // same spot scans, not the blob.
+  const Dataset ds = gen_blobs(5000, 2, 1, 10.0, 1.0, 0.0, 11);
+  const DbscanParams prm{0.5, 5};
+  IncrementalMuDbscan eng(2, prm);
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    (void)eng.insert(ds.point(static_cast<PointId>(i)));
+  ASSERT_EQ(eng.result().num_clusters(), 1u);
+  double mean[2] = {0.0, 0.0};
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    for (int d = 0; d < 2; ++d) mean[d] += ds.coord(i, d) / 5000.0;
+  PointId centre = 0;
+  double best = 1e300;
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const double dx = ds.coord(i, 0) - mean[0];
+    const double dy = ds.coord(i, 1) - mean[1];
+    if (dx * dx + dy * dy < best) {
+      best = dx * dx + dy * dy;
+      centre = static_cast<PointId>(i);
+    }
+  }
+  std::uint64_t t0 = eng.stats().mcs_touched;
+  (void)eng.insert(ds.point(centre));
+  const std::uint64_t insert_cost = eng.stats().mcs_touched - t0;
+  t0 = eng.stats().mcs_touched;
+  const std::uint64_t repairs = eng.stats().graph_edges_repaired;
+  ASSERT_TRUE(eng.erase(centre));
+  const std::uint64_t erase_cost = eng.stats().mcs_touched - t0;
+  EXPECT_GT(insert_cost, 0u);
+  EXPECT_LE(erase_cost, 2 * insert_cost)
+      << "insert " << insert_cost << " MCs, erase " << erase_cost;
+  EXPECT_EQ(eng.stats().graph_edges_repaired, repairs);
+  expect_matches_batch(eng, 1, "blob centre erase");
 }
 
 // ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@
 //                     >= baseline * (1 - tol), tol --speedup-tolerance, and
 //                     every fresh workload must report exact=true (the
 //                     incremental engine's answer matched the canonicalized
-//                     batch refit). Raw updates/s is reported, not gated —
+//                     batch refit). A workload present on one side only is
+//                     not comparable. Raw updates/s is reported, not gated —
 //                     the refit-relative speedup is the machine-independent
 //                     number.
 //
@@ -319,43 +320,56 @@ void diff_update(const json::Value& base, const json::Value& fresh,
     gate.note(Outcome::kIncomparable);
     return;
   }
-  for (const json::Value& bwl : bw->array) {
-    const std::string name =
-        bwl.find("name") ? bwl.find("name")->string_or("?") : "?";
-    const json::Value* fwl = nullptr;
-    for (const json::Value& cand : fw->array) {
-      const json::Value* n = cand.find("name");
-      if (n != nullptr && n->is_string() && n->string == name) {
-        fwl = &cand;
-        break;
-      }
+  auto name_of = [](const json::Value& wl) {
+    return wl.find("name") ? wl.find("name")->string_or("?") : "?";
+  };
+  auto find_row = [&](const json::Value& rows, const std::string& name) {
+    for (const json::Value& cand : rows.array)
+      if (name_of(cand) == name) return &cand;
+    return static_cast<const json::Value*>(nullptr);
+  };
+  auto check_exact = [&](const json::Value& wl) {
+    const json::Value* exact = wl.find("exact");
+    if (exact == nullptr || !exact->is_bool() || !exact->boolean) {
+      std::printf("update: workload %-20s fresh run not exact vs batch "
+                  "refit  REGRESSION\n",
+                  name_of(wl).c_str());
+      gate.note(Outcome::kRegression);
     }
+  };
+  // A fresh row the baseline lacks has no floor to hold: its exactness is
+  // still checked, and the baseline must be regenerated to gate it.
+  for (const json::Value& fwl : fw->array) {
+    if (find_row(*bw, name_of(fwl)) != nullptr) continue;
+    check_exact(fwl);
+    std::printf("update: workload %-20s missing from baseline — not "
+                "comparable\n",
+                name_of(fwl).c_str());
+    gate.note(Outcome::kIncomparable);
+  }
+  for (const json::Value& bwl : bw->array) {
+    const std::string name = name_of(bwl);
+    const json::Value* fwl = find_row(*fw, name);
     if (fwl == nullptr) {
-      std::printf("update: workload %-12s missing from fresh run — not "
+      std::printf("update: workload %-20s missing from fresh run — not "
                   "comparable\n",
                   name.c_str());
       gate.note(Outcome::kIncomparable);
       continue;
     }
-    const json::Value* exact = fwl->find("exact");
-    if (exact == nullptr || !exact->is_bool() || !exact->boolean) {
-      std::printf("update: workload %-12s fresh run not exact vs batch refit"
-                  "  REGRESSION\n",
-                  name.c_str());
-      gate.note(Outcome::kRegression);
-    }
+    check_exact(*fwl);
     bool ok = true;
     const double bs = num(bwl, "speedup_vs_refit", ok);
     const double fs = num(*fwl, "speedup_vs_refit", ok);
     if (!ok) {
-      std::printf("update: workload %-12s missing speedup_vs_refit — not "
+      std::printf("update: workload %-20s missing speedup_vs_refit — not "
                   "comparable\n",
                   name.c_str());
       gate.note(Outcome::kIncomparable);
       continue;
     }
     const bool pass = fs >= bs * (1.0 - speedup_tol);
-    std::printf("update: workload %-12s speedup %8.1fx -> %8.1fx (%+6.1f%%, "
+    std::printf("update: workload %-20s speedup %8.1fx -> %8.1fx (%+6.1f%%, "
                 "floor -%2.0f%%)  %s\n",
                 name.c_str(), bs, fs, pct(bs, fs), speedup_tol * 100.0,
                 pass ? "ok" : "REGRESSION");
@@ -364,7 +378,7 @@ void diff_update(const json::Value& base, const json::Value& fresh,
     const double bu = num(bwl, "updates_per_sec", uok);
     const double fu = num(*fwl, "updates_per_sec", uok);
     if (uok)
-      std::printf("update: workload %-12s updates/s %9.0f -> %9.0f "
+      std::printf("update: workload %-20s updates/s %9.0f -> %9.0f "
                   "(%+6.1f%%, informational)\n",
                   name.c_str(), bu, fu, pct(bu, fu));
   }
