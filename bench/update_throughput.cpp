@@ -3,12 +3,14 @@
 // — refitting mu_dbscan from scratch after every update, which is what a
 // serving deployment without the incremental engine would have to do.
 //
-// Three workloads over a blob dataset: insert-only growth, delete-only decay,
-// and the serving-shaped mixed stream (60% insert / 40% erase); and a fourth,
-// giant_cluster_delete, erasing from uniform points that form one cluster
-// spanning the whole box — every erase lands inside the one cluster a split
-// check could have to walk (docs/INCREMENTAL.md §Delete). Each is
-// timed end to end through the engine; the refit baseline is measured by
+// Four workloads over a blob dataset: insert-only growth from a pool of
+// mostly sparse points, dense_insert growth from points drawn around the
+// base's own blob centres, delete-only decay, and the serving-shaped mixed
+// stream (60% insert / 40% erase); and a fifth, giant_cluster_delete,
+// erasing from uniform points that form one cluster spanning the whole box —
+// every erase lands inside the one cluster a split check could have to walk
+// (docs/INCREMENTAL.md §Delete). Each is timed end to end through the
+// engine; the refit baseline is measured by
 // actually running mu_dbscan over the final survivor set (averaged over a few
 // runs), so `speedup_vs_refit = refit_seconds * updates / engine_seconds` is
 // an apples-to-apples "updates the engine sustains while one refit runs".
@@ -20,6 +22,7 @@
 // mixed workload must sustain >= 10x updates/s over refit-per-update at
 // n >= 10k. Emits BENCH_update.json (gated in CI by tools/benchdiff).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -30,6 +33,7 @@
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
+#include "common/distance.hpp"
 #include "common/timer.hpp"
 #include "common/vfs.hpp"
 #include "core/incremental.hpp"
@@ -106,6 +110,25 @@ WorkloadResult run_workload(const char* name, const Dataset& base,
   return r;
 }
 
+// Median over the pool points of the number of base points strictly within
+// eps, by brute force.
+std::size_t median_base_neighbours(const Dataset& base, const Dataset& pool,
+                                   double eps) {
+  std::vector<std::size_t> counts;
+  counts.reserve(pool.size());
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const double* q = pool.point(static_cast<PointId>(i)).data();
+    std::size_t c = 0;
+    for (std::size_t j = 0; j < base.size(); ++j)
+      c += sq_dist(q, base.point(static_cast<PointId>(j)).data(), base.dim()) <
+           eps * eps;
+    counts.push_back(c);
+  }
+  const auto mid = counts.begin() + static_cast<std::ptrdiff_t>(counts.size() / 2);
+  std::nth_element(counts.begin(), mid, counts.end());
+  return *mid;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,9 +154,21 @@ int main(int argc, char** argv) {
     const std::size_t dim = 2;
     const DbscanParams params{eps, min_pts};
     const Dataset base = gen_blobs(n, dim, 16, 60.0, 1.0, 0.08, 42);
-    // Insert pool drawn from the same distribution: updates land inside
-    // clusters (the expensive case — promotions and merges), not in the void.
+    // Insert pool of insert_only and mixed_60_40: the same generator at
+    // another seed, which draws other blob centres, so most of these points
+    // land in sparse regions of the base (about 200 of the default 2,000
+    // have >= 50 base points within eps).
     const Dataset pool = gen_blobs(updates, dim, 16, 60.0, 1.0, 0.08, 43);
+    // dense_insert's pool: the base's seed draws the base's centres first,
+    // and without noise points every insert lands in one of the base's
+    // blobs (the expensive case — promotions and merges over long neighbour
+    // lists).
+    const Dataset dense_pool = gen_blobs(updates, dim, 16, 60.0, 1.0, 0.0, 42);
+    if (const std::size_t med = median_base_neighbours(base, dense_pool, eps);
+        med < 50)
+      throw std::runtime_error("dense_insert: the median pool point has " +
+                               std::to_string(med) +
+                               " base points within eps, not >= 50");
     const std::size_t refit_reps = quick ? 1 : 3;
     // Uniform with ~24 expected eps-neighbours per point (the blobs' box at
     // the default n and eps), far above the percolation threshold, so one
@@ -192,16 +227,18 @@ int main(int argc, char** argv) {
     const struct {
       const char* name;
       const Dataset* base;
+      const Dataset* pool;
       const std::vector<std::int64_t>* ops;
     } kWorkloads[] = {
-        {"insert_only", &base, &ins_ops},
-        {"delete_only", &base, &del_ops},
-        {"mixed_60_40", &base, &mix_ops},
+        {"insert_only", &base, &pool, &ins_ops},
+        {"dense_insert", &base, &dense_pool, &ins_ops},
+        {"delete_only", &base, &pool, &del_ops},
+        {"mixed_60_40", &base, &pool, &mix_ops},
         // The delete-only ids, erased from the giant cluster instead.
-        {"giant_cluster_delete", &giant, &del_ops},
+        {"giant_cluster_delete", &giant, &pool, &del_ops},
     };
     for (const auto& wl : kWorkloads) {
-      WorkloadResult r = run_workload(wl.name, *wl.base, pool, params,
+      WorkloadResult r = run_workload(wl.name, *wl.base, *wl.pool, params,
                                       *wl.ops, refit_reps, &metrics);
       bench::row("%20s | %8zu %9zu | %12.0f %16.6f %9.1fx", r.name.c_str(),
                  r.updates, r.final_points, r.updates_per_sec,

@@ -7,11 +7,18 @@
 #include <stdexcept>
 
 #include "common/distance.hpp"
+#include "common/simd.hpp"
 
 namespace udb {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Frees a vector's storage (clear() alone keeps the capacity).
+template <class T>
+void release(std::vector<T>& v) {
+  std::vector<T>().swap(v);
+}
 }  // namespace
 
 IncrementalMuDbscan::IncrementalMuDbscan(std::size_t dim,
@@ -48,12 +55,45 @@ void IncrementalMuDbscan::collect_neighbors(const double* q, PointId exclude,
     const Mc& mc = mcs_[cid];
     if (mc.alive_members == 0) continue;
     if (touched) ++*touched;
-    for (PointId m : mc.members) {
-      if (m == exclude || !alive_[m]) continue;
-      const double d2 = sq_dist(q, ptr(m), dim_);
-      if (d2 < eps2_) out.emplace_back(m, d2);
+    // One kernel call over the MC's block, then a branch-free pass keeping
+    // the slots strictly within eps; exclude and dead ids are dropped from
+    // those hits only. Slot order is member order, and the kernel computes
+    // sq_dist's exact operation sequence, so the list is what a per-member
+    // sq_dist loop would produce.
+    const std::size_t cnt = mc.members.size();
+    if (d2_.size() < cnt) {
+      d2_.resize(cnt);
+      hits_.resize(cnt);
+    }
+    sq_dist_block_soa(q, mc.block.data(), cnt, block_cap(mc), dim_,
+                      d2_.data());
+    std::size_t nhits = 0;
+    for (std::size_t i = 0; i < cnt; ++i) {
+      hits_[nhits] = static_cast<std::uint32_t>(i);
+      nhits += d2_[i] < eps2_ ? 1 : 0;
+    }
+    for (std::size_t h = 0; h < nhits; ++h) {
+      const std::uint32_t i = hits_[h];
+      const PointId m = mc.members[i];
+      if (m != exclude && alive_[m]) out.emplace_back(m, d2_[i]);
     }
   }
+}
+
+void IncrementalMuDbscan::append_member(Mc& mc, PointId id, const double* pt) {
+  const std::size_t n = mc.members.size();
+  std::size_t cap = block_cap(mc);
+  if (n == cap) {
+    const std::size_t grown = std::max(kMinBlockCap, 2 * cap);
+    std::vector<double> block(grown * dim_);
+    for (std::size_t k = 0; k < dim_; ++k)
+      std::copy_n(mc.block.data() + k * cap, n, block.data() + k * grown);
+    mc.block = std::move(block);
+    mc.members.reserve(grown);
+    cap = grown;
+  }
+  for (std::size_t k = 0; k < dim_; ++k) mc.block[k * cap + n] = pt[k];
+  mc.members.push_back(id);
 }
 
 void IncrementalMuDbscan::assign_to_mc(PointId id, const double* pt) {
@@ -70,7 +110,7 @@ void IncrementalMuDbscan::assign_to_mc(PointId id, const double* pt) {
       --dead_center_entries_;
       compact_members(mc);  // likely all-dead membership
     }
-    mc.members.push_back(id);
+    append_member(mc, id, pt);
     ++mc.alive_members;
     mc_of_[id] = static_cast<McId>(hit);
     if (mc.members.size() > 16 && mc.alive_members * 2 < mc.members.size())
@@ -80,7 +120,7 @@ void IncrementalMuDbscan::assign_to_mc(PointId id, const double* pt) {
   const McId z = static_cast<McId>(mcs_.size());
   Mc mc;
   mc.center.assign(pt, pt + dim_);
-  mc.members.push_back(id);
+  append_member(mc, id, pt);
   mc.alive_members = 1;
   mcs_.push_back(std::move(mc));
   // The centre coordinates are the MC's own stable heap buffer (a vector
@@ -93,7 +133,20 @@ void IncrementalMuDbscan::assign_to_mc(PointId id, const double* pt) {
 }
 
 void IncrementalMuDbscan::compact_members(Mc& mc) {
-  std::erase_if(mc.members, [&](PointId m) { return !alive_[m]; });
+  // Both arrays in one pass: the survivors keep their relative slot order.
+  const std::size_t cap = block_cap(mc);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < mc.members.size(); ++i) {
+    const PointId m = mc.members[i];
+    if (!alive_[m]) continue;
+    if (kept != i) {
+      mc.members[kept] = m;
+      for (std::size_t k = 0; k < dim_; ++k)
+        mc.block[k * cap + kept] = mc.block[k * cap + i];
+    }
+    ++kept;
+  }
+  mc.members.resize(kept);
 }
 
 void IncrementalMuDbscan::maybe_rebuild_centers() {
@@ -112,10 +165,9 @@ void IncrementalMuDbscan::maybe_rebuild_centers() {
     if (mc.alive_members == 0) {
       if (mc.in_tree) {
         mc.in_tree = false;
-        mc.members.clear();
-        mc.members.shrink_to_fit();
-        mc.center.clear();
-        mc.center.shrink_to_fit();
+        release(mc.members);
+        release(mc.block);
+        release(mc.center);
       }
       continue;
     }
@@ -704,8 +756,18 @@ void IncrementalMuDbscan::check_invariants() const {
   std::size_t live = 0;
   for (std::size_t z = 0; z < mcs_.size(); ++z) {
     const Mc& mc = mcs_[z];
+    if (!mc.in_tree && mc.block.capacity() != 0)
+      throw std::logic_error("incremental: dropped MC still holds a block");
+    const std::size_t cap = block_cap(mc);
+    if (cap < mc.members.size())
+      throw std::logic_error("incremental: block capacity below member count");
     std::size_t alive_here = 0;
-    for (PointId m : mc.members) {
+    for (std::size_t i = 0; i < mc.members.size(); ++i) {
+      const PointId m = mc.members[i];
+      for (std::size_t k = 0; k < dim_; ++k)
+        if (std::memcmp(&mc.block[k * cap + i], ptr(m) + k, sizeof(double)) !=
+            0)
+          throw std::logic_error("incremental: block slot differs from point");
       if (!alive_[m]) continue;
       ++alive_here;
       if (mc_of_[m] != static_cast<McId>(z))

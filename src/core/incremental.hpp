@@ -44,6 +44,17 @@
 //   nothing splits, what the frontiers spend until they meet — never the
 //   size of the cluster that keeps the label.
 //
+// Neighbour scan: each MC keeps a dimension-major copy of its members'
+// coordinates (coordinate k of slot i at block[k * cap + i], slot order =
+// member order, capacity doubling from 4), appended on join, compacted with
+// the member list, and freed when a centres rebuild drops the MC. A scan
+// runs the runtime-dispatched sq_dist_block_soa kernel (common/simd.hpp) over
+// each candidate MC's block, keeps the slots with d2 < eps^2 without a
+// branch, and only then drops the excluded and the erased ids. The kernel
+// computes sq_dist's exact IEEE operation sequence on every target, so each
+// neighbour list holds the same ids, d2 values and order as a per-member
+// sq_dist loop, and every decision downstream is unchanged.
+//
 // Border points are maintained as a nearest-core cache ((d2, id)-minimal
 // core strictly within eps), which makes result() canonical (see
 // metrics/exactness.hpp: canonicalize_clustering) and O(survivors) with
@@ -56,9 +67,11 @@
 // inc_full_fallbacks. Counts and core flags are always maintained exactly
 // and never fall back.
 //
-// Threading: single writer. Updates reuse member scratch buffers, and even
-// the const readers (result(), via the label union-find's path halving)
-// write to the object, so all access must be serialized by the caller.
+// Threading: single writer. Updates reuse member scratch buffers (the
+// candidate list and the scan's d2/slot buffers are written even by the
+// const collect_neighbors), and even the const readers (result(), via the
+// label union-find's path halving) write to the object, so all access must
+// be serialized by the caller.
 
 #pragma once
 
@@ -95,6 +108,7 @@ class IncrementalMuDbscan {
     std::uint64_t mcs_touched = 0;         // candidate MCs scanned, cumulative
     std::uint64_t graph_edges_repaired = 0;  // unions + split relabel writes
     std::uint64_t full_fallbacks = 0;      // updates that hit the cap
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
 
   // Two overloads instead of `Config cfg = {}`: a nested aggregate's default
@@ -145,19 +159,31 @@ class IncrementalMuDbscan {
 
   // Test hook: recomputes counts/flags/borders brute-force and throws
   // std::logic_error on any divergence from the maintained state. O(n^2).
+  // It also audits every MC's coordinate block: capacity >= member count,
+  // each slot bitwise equal (memcmp) to point(member), and no block left on
+  // an MC a centres rebuild dropped.
   void check_invariants() const;
 
  private:
   struct Mc {
     std::vector<double> center;    // owned copy: survives centre-point erasure
     std::vector<PointId> members;  // may contain erased ids until compacted
+    // Dimension-major copy of the members' coordinates in slot order:
+    // coordinate k of members[i] at block[k * cap + i], cap = block_cap().
+    std::vector<double> block;
     std::uint32_t alive_members = 0;
     bool in_tree = true;  // false once a centres-tree rebuild dropped it
   };
 
+  // First block capacity of an MC; it doubles whenever the block is full.
+  static constexpr std::size_t kMinBlockCap = 4;
+
   [[nodiscard]] const double* ptr(PointId id) const noexcept {
     return chunks_[id / kChunkPoints].get() +
            static_cast<std::size_t>(id % kChunkPoints) * dim_;
+  }
+  [[nodiscard]] std::size_t block_cap(const Mc& mc) const noexcept {
+    return mc.block.size() / dim_;
   }
 
   using Neighbors = std::vector<std::pair<PointId, double>>;
@@ -169,6 +195,9 @@ class IncrementalMuDbscan {
                          std::size_t* touched) const;
 
   void assign_to_mc(PointId id, const double* pt);
+  // Appends id to mc's member list and pt to its block, growing both.
+  void append_member(Mc& mc, PointId id, const double* pt);
+  // Drops erased members from the list and the block together.
   void compact_members(Mc& mc);
   void maybe_rebuild_centers();
 
@@ -240,6 +269,8 @@ class IncrementalMuDbscan {
 
   // Reusable scratch for the update path (single writer, see top).
   mutable std::vector<PointId> cands_;  // collect_neighbors' candidate MCs
+  mutable std::vector<double> d2_;      // ... one MC's kernel output
+  mutable std::vector<std::uint32_t> hits_;  // ... its slots within eps
   Neighbors nbrs_;    // N(p) of the point being inserted or erased
   Neighbors scan_;    // one-off scans: promotions, borders, BFS expansions
   std::vector<PointId> flipped_;  // promoted (insert) / failed set F (erase)

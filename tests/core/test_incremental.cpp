@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "core/mudbscan.hpp"
 #include "core/streaming.hpp"
 #include "data/generators.hpp"
@@ -605,6 +607,193 @@ TEST(IncrementalCost, NonSplittingDeleteCostsAboutOneInsert) {
       << "insert " << insert_cost << " MCs, erase " << erase_cost;
   EXPECT_EQ(eng.stats().graph_edges_repaired, repairs);
   expect_matches_batch(eng, 1, "blob centre erase");
+}
+
+// ---------------------------------------------------------------------------
+// Neighbour scan (docs/INCREMENTAL.md §Neighbour scan): every SIMD target
+// must replay a stream to the same answer and the same work counters as the
+// scalar target, and both must equal the canonical batch fit.
+// ---------------------------------------------------------------------------
+
+struct TargetGuard {
+  SimdTarget prev = active_simd_target();
+  ~TargetGuard() { force_simd_target(prev); }
+};
+
+// An update stream over `pts`: op >= 0 inserts pts[op]; op < 0 erases id
+// -(op + 1), always an alive one.
+struct Stream {
+  std::string name;
+  std::size_t dim;
+  DbscanParams prm;
+  std::vector<std::vector<double>> pts;
+  std::vector<std::int64_t> ops;
+};
+
+// Inserts every point of `pts` in order, erasing a random alive id instead
+// on about a third of the steps.
+std::vector<std::int64_t> churn_ops(std::size_t npts, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::int64_t> ops;
+  std::vector<std::int64_t> alive;
+  std::int64_t next_id = 0;
+  for (std::size_t row = 0; row < npts;) {
+    if (!alive.empty() && rng.next_double() < 0.3) {
+      const std::size_t k = rng.uniform_index(alive.size());
+      ops.push_back(-(alive[k] + 1));
+      alive[k] = alive.back();
+      alive.pop_back();
+    } else {
+      ops.push_back(static_cast<std::int64_t>(row++));
+      alive.push_back(next_id++);
+    }
+  }
+  return ops;
+}
+
+std::vector<Stream> adversarial_streams() {
+  std::vector<Stream> out;
+  Rng rng(907);
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<double>(rng.uniform_index(n));
+  };
+  auto add = [&](std::string name, std::size_t dim, DbscanParams prm,
+                 std::vector<std::vector<double>> pts, std::uint64_t seed) {
+    std::vector<std::int64_t> ops = churn_ops(pts.size(), seed);
+    out.push_back({std::move(name), dim, prm, std::move(pts), std::move(ops)});
+  };
+  std::vector<std::vector<double>> pts;
+  // 2-D, eps = 5: repeated sites (3i, 4j) with i + j even, so the nearest
+  // other site is a diagonal one exactly eps away (3-4-5) and not a
+  // neighbour; one point in ten is a cell centre, 2.5 from two sites, that
+  // bridges them.
+  for (int i = 0; i < 260; ++i) {
+    const double a = pick(6), b = 2.0 * pick(3) + std::fmod(a, 2.0);
+    const double off = rng.uniform_index(10) == 0 ? 1.0 : 0.0;
+    pts.push_back({3.0 * a + 1.5 * off, 4.0 * b + 2.0 * off});
+  }
+  add("3-4-5 lattice", 2, {5.0, 4}, std::move(pts), 1);
+  // 1-D, eps = 0.5: sites exactly eps apart with signed-zero twins at the
+  // origin; one point in forty sits halfway and bridges two sites.
+  pts.clear();
+  for (int i = 0; i < 240; ++i) {
+    double v = 0.5 * pick(7) - 1.5;
+    if (v == 0.0 && rng.uniform_index(2) == 0) v = -0.0;
+    if (rng.uniform_index(40) == 0) v += 0.25;
+    pts.push_back({v});
+  }
+  add("signed zeros", 1, {0.5, 3}, std::move(pts), 2);
+  // 2-D denormals: eps^2 and most squared distances are subnormal.
+  pts.clear();
+  for (int i = 0; i < 240; ++i)
+    pts.push_back({1e-160 * pick(25), 1e-160 * pick(25)});
+  add("denormals", 2, {2.5e-160, 4}, std::move(pts), 3);
+  // 3-D around 0 and +-1e300: a squared distance across the far clusters
+  // overflows to inf; adding a small offset to 1e300 rounds back to it.
+  pts.clear();
+  const double kFar[] = {0.0, 1e300, -1e300, 1.5e300};
+  for (int i = 0; i < 240; ++i) {
+    std::vector<double> p(3);
+    for (double& c : p) c = kFar[rng.uniform_index(4)] + 0.5 * pick(4);
+    pts.push_back(std::move(p));
+  }
+  add("overflow to inf", 3, {1.0, 3}, std::move(pts), 4);
+  // 14-D: blobs rounded to half steps, eps = 2 (sums of squares of half
+  // steps are exact, so eps ties occur).
+  pts.clear();
+  for (int i = 0; i < 240; ++i) {
+    std::vector<double> p(14);
+    const double c = 4.0 * pick(2);
+    for (double& v : p) v = 0.5 * std::round(2.0 * (c + 0.5 * rng.normal()));
+    pts.push_back(std::move(p));
+  }
+  add("14-D half steps", 14, {2.0, 4}, std::move(pts), 5);
+  return out;
+}
+
+struct Replayed {
+  ClusteringResult result;
+  IncrementalMuDbscan::Stats stats;
+};
+
+Replayed replay(const Stream& s, const std::string& ctx) {
+  IncrementalMuDbscan eng(s.dim, s.prm);
+  for (std::size_t k = 0; k < s.ops.size(); ++k) {
+    const std::int64_t op = s.ops[k];
+    if (op >= 0)
+      (void)eng.insert(s.pts[static_cast<std::size_t>(op)]);
+    else
+      EXPECT_TRUE(eng.erase(static_cast<PointId>(-(op + 1)))) << ctx;
+    if (k == s.ops.size() / 2) expect_exact(eng, ctx + " midway");
+  }
+  expect_exact(eng, ctx);
+  return {eng.result(), eng.stats()};
+}
+
+TEST(IncrementalSimd, EveryTargetReplaysAdversarialStreamsIdentically) {
+  TargetGuard guard;
+  for (const Stream& s : adversarial_streams()) {
+    force_simd_target(SimdTarget::kScalar);
+    const Replayed want = replay(s, s.name + " scalar");
+    EXPECT_GT(want.stats.mcs_touched, 0u) << s.name;
+    for (SimdTarget t : runnable_simd_targets()) {
+      if (t == SimdTarget::kScalar) continue;
+      force_simd_target(t);
+      const std::string ctx = s.name + " " + simd_target_name(t);
+      const Replayed got = replay(s, ctx);
+      EXPECT_EQ(got.result.label, want.result.label) << ctx;
+      EXPECT_EQ(got.result.is_core, want.result.is_core) << ctx;
+      EXPECT_EQ(got.stats, want.stats) << ctx;
+    }
+  }
+}
+
+TEST(IncrementalBlock, LifecycleOfOneMicroCluster) {
+  // One MC centred at the origin (eps = 1: every point below is strictly
+  // within eps of it) through growth, compaction, emptying, revival, a
+  // centres rebuild that drops it, and regrowth. check_invariants() audits
+  // the block slot by slot after every step.
+  IncrementalMuDbscan eng(2, {1.0, 3});
+  auto near_origin = [](int i) {
+    return std::vector{0.01 * i, 0.005 * i};
+  };
+  std::vector<PointId> ids;
+  for (int i = 0; i < 64; ++i) {
+    ids.push_back(eng.insert(near_origin(i)));
+    const std::size_t n = ids.size();
+    if ((n & (n - 1)) == 0 || ((n - 1) & (n - 2)) == 0) {  // 2^k and 2^k + 1
+      ASSERT_EQ(eng.num_mcs(), 1u);
+      expect_exact(eng, "growth to " + std::to_string(n));
+    }
+  }
+  // Erasing the even slots leaves half alive; one more erasure compacts.
+  for (int i = 0; i < 64; i += 2) ASSERT_TRUE(eng.erase(ids[i]));
+  ASSERT_TRUE(eng.erase(ids[1]));
+  expect_exact(eng, "compacted");
+  // Emptying tombstones the MC; the next point within eps revives it.
+  for (PointId id : ids) (void)eng.erase(id);
+  ASSERT_EQ(eng.size(), 0u);
+  ASSERT_EQ(eng.num_mcs(), 0u);
+  expect_exact(eng, "emptied");
+  ids.clear();
+  for (int i = 0; i < 10; ++i) ids.push_back(eng.insert(near_origin(i)));
+  ASSERT_EQ(eng.num_mcs(), 1u);
+  expect_exact(eng, "revived");
+  // 70 singleton MCs far away. Emptying the origin MC and 35 of them makes
+  // 36 of 71 centre entries dead, which rebuilds the centres tree over the
+  // live ones and drops the origin MC with its block.
+  std::vector<PointId> far;
+  for (int k = 0; k < 70; ++k)
+    far.push_back(eng.insert(std::vector{10.0 + 3.0 * k, 50.0}));
+  ASSERT_EQ(eng.num_mcs(), 71u);
+  for (PointId id : ids) ASSERT_TRUE(eng.erase(id));
+  for (int k = 0; k < 35; ++k) ASSERT_TRUE(eng.erase(far[k]));
+  ASSERT_EQ(eng.num_mcs(), 35u);
+  expect_exact(eng, "dropped by a centres rebuild");
+  // Regrowth at the origin builds a new MC, its block doubling 4 -> 32.
+  for (int i = 0; i < 20; ++i) (void)eng.insert(near_origin(i));
+  ASSERT_EQ(eng.num_mcs(), 36u);
+  expect_exact(eng, "regrown");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // benchdiff — the perf regression gate: compares a fresh bench JSON artifact
 // against the committed baseline (BENCH_serve.json / BENCH_kernel.json /
-// BENCH_multicore.json) with per-metric tolerances, so CI can fail a PR that
-// quietly slows the serving path or the SIMD kernels.
+// BENCH_multicore.json / BENCH_update.json) with per-metric tolerances, so
+// CI can fail a PR that quietly slows the serving path, the SIMD kernels or
+// the incremental engine.
 //
 //   $ benchdiff --baseline BENCH_serve.json --fresh build/serve.json
 //   $ benchdiff --baseline BENCH_kernel.json --fresh f.json --speedup-tolerance 0.30
@@ -27,7 +28,11 @@
 //                     batch refit). A workload present on one side only is
 //                     not comparable. Raw updates/s is reported, not gated —
 //                     the refit-relative speedup is the machine-independent
-//                     number.
+//                     number. The engine's work counters
+//                     (metrics.incremental.{mcs_touched,
+//                     graph_edges_repaired, full_fallbacks}) must match the
+//                     baseline exactly: the bench runs one thread, so they
+//                     are deterministic and a drift is a behaviour change.
 //
 // Exit codes, distinct per failure class so CI can branch without parsing:
 //   0  comparable and within tolerance
@@ -381,6 +386,20 @@ void diff_update(const json::Value& base, const json::Value& fresh,
       std::printf("update: workload %-20s updates/s %9.0f -> %9.0f "
                   "(%+6.1f%%, informational)\n",
                   name.c_str(), bu, fu, pct(bu, fu));
+  }
+  for (const char* key : {"metrics.incremental.mcs_touched",
+                          "metrics.incremental.graph_edges_repaired",
+                          "metrics.incremental.full_fallbacks"}) {
+    bool ok = true;
+    const double bv = num(base, key, ok), fv = num(fresh, key, ok);
+    if (!ok) {
+      std::printf("update: %s missing — not comparable\n", key);
+      gate.note(Outcome::kIncomparable);
+      continue;
+    }
+    std::printf("update: %-40s %10.0f -> %10.0f  %s\n", key, bv, fv,
+                bv == fv ? "ok" : "REGRESSION");
+    if (bv != fv) gate.note(Outcome::kRegression);
   }
 }
 
