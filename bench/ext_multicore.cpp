@@ -5,9 +5,9 @@
 //     shared µR-tree + lock-free union-find), wall-clock per thread count,
 //     with an exactness check of every parallel run against the sequential
 //     clustering (same core set / core partition / noise set).
-//   * MODELED — µDBSCAN-SM, µDBSCAN-D's decomposition under a shared-memory
-//     transfer model (alpha=100ns, ~20GB/s), plus the interconnect model at
-//     the same rank counts, for comparison with the distributed chapter.
+//   * MODELED — µDBSCAN-D's virtual-time makespan under the interconnect
+//     model at the same rank counts, for comparison with the distributed
+//     chapter.
 //
 // Measured speedups depend on the machine: on a single hardware thread the
 // parallel engine can only show overhead (the JSON records
@@ -26,7 +26,7 @@
 #include "common/timer.hpp"
 #include "core/mudbscan.hpp"
 #include "data/named.hpp"
-#include "dist/mudbscan_sm.hpp"
+#include "dist/mudbscan_d.hpp"
 #include "metrics/exactness.hpp"
 
 using namespace udb;
@@ -38,7 +38,6 @@ struct Row {
   double measured_s = 0.0;
   double speedup = 1.0;
   bool exact = true;
-  double sm_model_s = 0.0;
   double d_model_s = 0.0;
 };
 
@@ -97,7 +96,6 @@ void write_json(const std::string& path, double scale, bool quick, int reps,
           << ", \"measured_seconds\": " << r.measured_s
           << ", \"speedup\": " << r.speedup
           << ", \"exact_vs_sequential\": " << (r.exact ? "true" : "false")
-          << ", \"sm_model_seconds\": " << r.sm_model_s
           << ", \"d_model_seconds\": " << r.d_model_s << "}"
           << (j + 1 < rep.rows.size() ? "," : "") << "\n";
     }
@@ -124,7 +122,7 @@ int main(int argc, char** argv) {
       "Extension — intra-node multicore µDBSCAN: measured and modeled",
       "µDBSCAN paper, Section VII future work (not a paper table)",
       "measured = real thread-parallel engine (shared µR-tree, lock-free "
-      "union-find); modeled = µDBSCAN-SM/D cost models");
+      "union-find); modeled = µDBSCAN-D cost model");
   bench::row("hardware threads: %u (oversubscribed thread counts remain "
              "exact; speedups need real cores)",
              std::thread::hardware_concurrency());
@@ -146,8 +144,8 @@ int main(int argc, char** argv) {
     bench::row("");
     bench::row("dataset %s (n = %zu), sequential engine: %.3f s",
                nd.name.c_str(), nd.data.size(), rep.seq_s);
-    bench::row("%8s | %11s %8s %6s | %10s %10s", "threads", "measured(s)",
-               "speedup", "exact", "SM-mdl(s)", "D-mdl(s)");
+    bench::row("%8s | %11s %8s %6s | %10s", "threads", "measured(s)",
+               "speedup", "exact", "D-mdl(s)");
     bench::rule();
     for (auto t : threads) {
       if (t < 1) throw std::invalid_argument("--threads entries must be >= 1");
@@ -163,15 +161,13 @@ int main(int argc, char** argv) {
       }
       row.speedup = rep.seq_s / std::max(row.measured_s, 1e-12);
 
-      MuDbscanDStats sm, d;
-      (void)mudbscan_sm(nd.data, nd.params, static_cast<int>(t), &sm);
+      MuDbscanDStats d;
       (void)mudbscan_d(nd.data, nd.params, static_cast<int>(t), &d);
-      row.sm_model_s = sm.total();
       row.d_model_s = d.total();
 
-      bench::row("%8lld | %11.3f %7.2fx %6s | %10.3f %10.3f", row.threads,
+      bench::row("%8lld | %11.3f %7.2fx %6s | %10.3f", row.threads,
                  row.measured_s, row.speedup, row.exact ? "yes" : "NO",
-                 row.sm_model_s, row.d_model_s);
+                 row.d_model_s);
       if (!row.exact) {
         bench::row("EXACTNESS VIOLATION at %lld threads", row.threads);
         return 1;

@@ -11,7 +11,7 @@
 // every erase lands inside the one cluster a split check could have to walk
 // (docs/INCREMENTAL.md §Delete). Each is timed end to end through the
 // engine; the refit baseline is measured by
-// actually running mu_dbscan over the final survivor set (averaged over a few
+// actually running mu_dbscan over the final survivor set (the median of a few
 // runs), so `speedup_vs_refit = refit_seconds * updates / engine_seconds` is
 // an apples-to-apples "updates the engine sustains while one refit runs".
 //
@@ -88,15 +88,19 @@ WorkloadResult run_workload(const char* name, const Dataset& base,
   const Dataset survivors = eng.survivors();
   const ClusteringResult inc = eng.result();
 
-  double refit_total = 0.0;
+  std::vector<double> refit_s(refit_reps);
   ClusteringResult batch;
-  for (std::size_t rep = 0; rep < refit_reps; ++rep) {
+  for (double& s : refit_s) {
     WallTimer rt;
     batch = mu_dbscan(survivors, params);
-    refit_total += rt.seconds();
+    s = rt.seconds();
   }
-  r.refit_seconds_per_update =
-      refit_total / static_cast<double>(refit_reps);
+  // The median, not the mean: one slow refit would otherwise move
+  // speedup_vs_refit by up to ~3x between runs of one build.
+  const auto mid =
+      refit_s.begin() + static_cast<std::ptrdiff_t>(refit_reps / 2);
+  std::nth_element(refit_s.begin(), mid, refit_s.end());
+  r.refit_seconds_per_update = *mid;
   r.speedup_vs_refit =
       r.refit_seconds_per_update / (r.seconds / static_cast<double>(r.updates));
 

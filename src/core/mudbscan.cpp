@@ -21,10 +21,6 @@ inline std::atomic_ref<std::uint8_t> flag(std::vector<std::uint8_t>& v,
   return std::atomic_ref<std::uint8_t>(v[i]);
 }
 
-// Sequential-loop checkpoint stride (Algorithms 4/6/7/8). The parallel paths
-// checkpoint per chunk via parallel_for_chunked instead.
-constexpr std::size_t kSeqCheckStride = 1024;
-
 // wndq_ byte values double as query-avoidance reason codes: any nonzero
 // value means "tagged, skip the query" (all existing truthiness checks keep
 // working), and the value records WHY for the Algorithm 6 skip-site ledger.
@@ -112,179 +108,10 @@ void MuDbscanEngine::find_reachable() {
   stats.t_reach = timer.seconds();
 }
 
-void MuDbscanEngine::cluster() {
-  if (pool_) {
-    cluster_parallel();
-    return;
-  }
-  obs::Span phase_span(cfg_.tracer, "phase.cluster");
-  WallTimer timer;
-  const std::size_t n = ds_->size();
-  const double eps = params_.eps;
-  const double half2 = (eps / 2.0) * (eps / 2.0);
-  const std::uint32_t min_pts = params_.min_pts;
-  // Hot-loop counters accumulate in locals and publish to the registry once
-  // per phase; only the per-query histogram observation hits the registry
-  // inside the loop (a TLS lookup + a few relaxed stores, dwarfed by the
-  // tree descent it accounts for).
-  std::uint64_t unions = 0;
-  std::uint64_t noise_provisional = 0;
-  AvoidedLedger avoided;
-
-  // --- Algorithm 4: PROCESS-MICRO-CLUSTERS ------------------------------
-  // DMC: every inner-circle point is core (Lemma 1) and so is the centre
-  // (its eps-ball contains IC plus itself); CMC: the centre is core
-  // (Lemma 2). Either way all members are united with the centre — they are
-  // directly density-reachable from it.
-  obs::Span alg4_span(cfg_.tracer, "alg4.process_mcs");
-  for (McId z = 0; z < tree_->num_mcs(); ++z) {
-    if (guard_ && z % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 4");
-    const MicroCluster& mc = tree_->mc(z);
-    const McKind kind = mc.classify(min_pts);
-    if (kind == McKind::Sparse) {
-      ++stats.smc;
-      continue;
-    }
-    if (kind == McKind::Dense) {
-      ++stats.dmc;
-      const double* c = ds_->ptr(mc.center);
-      for (PointId q : mc.members) {
-        if (q != mc.center &&
-            sq_dist(c, ds_->ptr(q), ds_->dim()) >= half2)
-          continue;  // outside the inner circle: border for the time being
-        if (!wndq_[q]) {
-          wndq_[q] = kWndqDmc;
-          is_core_[q] = 1;
-          wndq_list_.push_back(q);
-        }
-      }
-    } else {  // Core MC
-      ++stats.cmc;
-      if (!wndq_[mc.center]) {
-        wndq_[mc.center] = kWndqCmc;
-        is_core_[mc.center] = 1;
-        wndq_list_.push_back(mc.center);
-      }
-    }
-    for (PointId q : mc.members) {
-      uf_.union_sets(mc.center, q);
-      assigned_[q] = 1;
-    }
-    unions += mc.members.size();
-  }
-  alg4_span.end();
-
-  // --- Algorithm 6: PROCESS-REM-POINTS ----------------------------------
-  obs::Span alg6_span(cfg_.tracer, "alg6.process_rem_points");
-  std::vector<std::pair<PointId, double>> nbhd;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (guard_ && i % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 6");
-    const PointId p = static_cast<PointId>(i);
-    if (wndq_[p]) {  // query saved; ledger by reason code
-      avoided.count(wndq_[p]);
-      continue;
-    }
-    ++stats.queries_performed;
-
-    nbhd.clear();
-    if (cfg_.mbr_filtration) {
-      tree_->query_neighborhood(p, eps, nbhd);
-    } else {
-      // Ablation: search every reachable MC's aux tree without the MBR
-      // filter.
-      const McId z = tree_->mc_of_point(p);
-      const auto pt = ds_->point(p);
-      for (McId r : tree_->mc(z).reach) {
-        tree_->aux_tree(r).visit_ball(pt, eps, [&nbhd](PointId id, double d2) {
-          nbhd.emplace_back(id, d2);
-          return true;
-        });
-      }
-    }
-    metrics_.observe(obs::Hist::kNeighborCount, nbhd.size());
-
-    if (nbhd.size() < min_pts) {
-      // Non-core: border if some already-known core is in range, otherwise
-      // provisional noise with the neighborhood remembered for Algorithm 8.
-      bool attached = assigned_[p] != 0;
-      if (!attached) {
-        for (const auto& [q, d2] : nbhd) {
-          if (is_core_[q]) {
-            uf_.union_sets(q, p);
-            ++unions;
-            assigned_[p] = 1;
-            attached = true;
-            break;
-          }
-        }
-      }
-      if (!attached) {
-        ++noise_provisional;
-        noise_pts_.push_back(p);
-        for (const auto& [q, d2] : nbhd)
-          if (q != p) noise_nbrs_.push_back(q);
-        noise_off_.push_back(static_cast<std::uint32_t>(noise_nbrs_.size()));
-      }
-      continue;
-    }
-
-    // Core point.
-    is_core_[p] = 1;
-    assigned_[p] = 1;
-
-    // Dynamic wndq promotion (Algorithm 6 lines 18-21): if >= MinPts of the
-    // neighbors sit strictly within eps/2 of p, they are pairwise strictly
-    // within eps of each other, so each of them is core — no query needed.
-    if (cfg_.dynamic_promotion) {
-      std::size_t inner = 0;
-      for (const auto& [q, d2] : nbhd)
-        if (d2 < half2) ++inner;
-      if (inner >= min_pts) {
-        for (const auto& [q, d2] : nbhd) {
-          if (d2 < half2 && !is_core_[q]) {
-            is_core_[q] = 1;
-            if (!wndq_[q]) {
-              wndq_[q] = kWndqPromotion;
-              wndq_list_.push_back(q);
-            }
-          }
-        }
-      }
-    }
-
-    for (const auto& [q, d2] : nbhd) {
-      if (is_core_[q]) {
-        uf_.union_sets(p, q);
-        ++unions;
-        assigned_[q] = 1;
-      } else if (!assigned_[q]) {
-        uf_.union_sets(p, q);
-        ++unions;
-        assigned_[q] = 1;
-      }
-    }
-  }
-  stats.wndq_core_points = wndq_list_.size();
-  stats.avoided_dmc = avoided.dmc();
-  stats.avoided_cmc = avoided.cmc();
-  stats.avoided_promotion = avoided.promotion();
-  metrics_.add(obs::Counter::kQueriesPerformed, stats.queries_performed);
-  metrics_.add(obs::Counter::kQueriesAvoidedDmc, avoided.dmc());
-  metrics_.add(obs::Counter::kQueriesAvoidedCmc, avoided.cmc());
-  metrics_.add(obs::Counter::kQueriesAvoidedPromotion, avoided.promotion());
-  metrics_.add(obs::Counter::kMcDense, stats.dmc);
-  metrics_.add(obs::Counter::kMcCore, stats.cmc);
-  metrics_.add(obs::Counter::kMcSparse, stats.smc);
-  metrics_.add(obs::Counter::kUnionCalls, unions);
-  metrics_.add(obs::Counter::kNoiseProvisional, noise_provisional);
-  charge_scratch();
-  stats.t_cluster = timer.seconds();
-}
-
-// Thread-parallel Algorithms 4 + 6, exact-equivalent to the sequential path
-// above (full argument in docs/PARALLEL.md). Sketch:
+// Algorithms 4 + 6, one body at every thread count (full argument in
+// docs/PARALLEL.md). With no pool (num_threads == 1) both loops run inline
+// in index order, so the schedule and every counter are deterministic.
+// Sketch of why more threads stay exact:
 //   * Algorithm 4 parallelizes over MCs: every point belongs to exactly one
 //     MC, so member flag writes are exclusive to the owning thread; only the
 //     lock-free union-find is shared.
@@ -294,11 +121,11 @@ void MuDbscanEngine::cluster() {
 //     so at least one side observes the other and performs the union. Border
 //     points are claimed with an atomic exchange on assigned_ (exactly one
 //     core adopts an unassigned non-core neighbor — the classic parallel
-//     DBSCAN border race). Missed late-promoted cores are repaired by
-//     Algorithms 7/8 exactly as in the sequential engine.
+//     DBSCAN border race). Cores promoted after a neighbor's turn are
+//     repaired by Algorithms 7/8.
 //   * wndq additions and the provisional-noise CSR go to per-thread buffers
 //     merged after the join, so the Algorithm 7/8 inputs keep their layout.
-void MuDbscanEngine::cluster_parallel() {
+void MuDbscanEngine::cluster() {
   obs::Span phase_span(cfg_.tracer, "phase.cluster");
   WallTimer timer;
   const std::size_t n = ds_->size();
@@ -306,9 +133,13 @@ void MuDbscanEngine::cluster_parallel() {
   const double half2 = (eps / 2.0) * (eps / 2.0);
   const std::uint32_t min_pts = params_.min_pts;
   ThreadPool* pool = pool_.get();
-  const unsigned nt = pool->num_threads();
+  const unsigned nt = pool ? pool->num_threads() : 1;
 
-  // --- Algorithm 4 (parallel over MCs) ----------------------------------
+  // --- Algorithm 4: PROCESS-MICRO-CLUSTERS (over MCs) -------------------
+  // DMC: every inner-circle point is core (Lemma 1) and so is the centre
+  // (its eps-ball contains IC plus itself); CMC: the centre is core
+  // (Lemma 2). Either way all members are united with the centre — they are
+  // directly density-reachable from it.
   obs::Span alg4_span(cfg_.tracer, "alg4.process_mcs");
   struct alignas(64) McAccum {
     std::uint64_t dmc = 0, cmc = 0, smc = 0;
@@ -367,7 +198,7 @@ void MuDbscanEngine::cluster_parallel() {
   }
   alg4_span.end();
 
-  // --- Algorithm 6 (parallel over points) -------------------------------
+  // --- Algorithm 6: PROCESS-REM-POINTS (over points) --------------------
   obs::Span alg6_span(cfg_.tracer, "alg6.process_rem_points");
   struct alignas(64) PtAccum {
     std::uint64_t queries = 0;
@@ -388,8 +219,8 @@ void MuDbscanEngine::cluster_parallel() {
         for (std::size_t i = begin; i < end; ++i) {
           const PointId p = static_cast<PointId>(i);
           // A concurrent promotion may land after this check — p then runs a
-          // redundant (but harmless) query, exactly like a sequential run
-          // that promoted p after its turn. The skip site runs exactly once
+          // redundant (but harmless) query, exactly like a one-thread run
+          // that promotes p after its turn. The skip site runs exactly once
           // per point, so the per-reason ledger sums with `queries` to n.
           const std::uint8_t reason =
               flag(wndq_, p).load(std::memory_order_relaxed);
@@ -403,6 +234,8 @@ void MuDbscanEngine::cluster_parallel() {
           if (cfg_.mbr_filtration) {
             tree_->query_neighborhood(p, eps, nbhd);
           } else {
+            // Ablation: search every reachable MC's aux tree without the MBR
+            // filter.
             const McId z = tree_->mc_of_point(p);
             const auto pt = ds_->point(p);
             for (McId r : tree_->mc(z).reach) {
@@ -489,7 +322,7 @@ void MuDbscanEngine::cluster_parallel() {
                             .exchange(1, std::memory_order_acq_rel)) {
               // Atomically adopted q as this cluster's border point; exactly
               // one core wins this exchange (the parallel-DBSCAN border
-              // race), mirroring the sequential first-claimer rule.
+              // race): the first claimer keeps q.
               uf_.union_sets(p, q);
               ++acc.unions;
             }
@@ -572,16 +405,16 @@ void MuDbscanEngine::finalize_metrics() {
   }
 }
 
+// Algorithms 7 + 8, one body at every thread count. After cluster() joins,
+// is_core_ is final and read-only; Algorithm 7 writes nothing but the
+// lock-free union-find, and Algorithm 8 touches assigned_[p] only for its own
+// (unique) noise point, so both loops are data-parallel as-is.
 void MuDbscanEngine::post_process() {
-  if (pool_) {
-    post_process_parallel();
-    return;
-  }
   obs::Span phase_span(cfg_.tracer, "phase.post_process");
   WallTimer timer;
   const double eps2 = params_.eps * params_.eps;
-  std::uint64_t unions = 0;
-  std::uint64_t repaired = 0;
+  ThreadPool* pool = pool_.get();
+  const unsigned nt = pool ? pool->num_threads() : 1;
 
   // --- Algorithm 7: POST-PROCESSING-CORE --------------------------------
   // wndq-core points never ran a query, so their unions with core points of
@@ -589,71 +422,6 @@ void MuDbscanEngine::post_process() {
   // MCs and unite with any core point strictly within eps that is not yet in
   // the same set. (Distance is only computed for cores in a different set —
   // far cheaper than a neighborhood query.)
-  obs::Span alg7_span(cfg_.tracer, "alg7.post_core");
-  for (std::size_t wi = 0; wi < wndq_list_.size(); ++wi) {
-    if (guard_ && wi % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 7");
-    const PointId p = wndq_list_[wi];
-    const McId z = tree_->mc_of_point(p);
-    const auto pt = ds_->point(p);
-    for (McId r : tree_->mc(z).reach) {
-      if (cfg_.mbr_filtration &&
-          !tree_->aux_tree(r).root_mbr().overlaps_ball(pt, params_.eps))
-        continue;
-      for (PointId q : tree_->mc(r).members) {
-        if (!is_core_[q]) continue;
-        if (uf_.find(q) == uf_.find(p)) continue;
-        ++stats.post_core_distance_evals;
-        if (sq_dist(pt.data(), ds_->ptr(q), ds_->dim()) < eps2) {
-          uf_.union_sets(p, q);
-          ++unions;
-        }
-      }
-    }
-  }
-  alg7_span.end();
-
-  // --- Algorithm 8: POST-PROCESSING-NOISE -------------------------------
-  // A provisional noise point whose stored neighborhood now contains a core
-  // point (one promoted to wndq-core after the noise point was processed)
-  // is in fact a border point.
-  obs::Span alg8_span(cfg_.tracer, "alg8.post_noise");
-  for (std::size_t i = 0; i < noise_pts_.size(); ++i) {
-    if (guard_ && i % kSeqCheckStride == 0)
-      guard_->check_throw("algorithm 8");
-    const PointId p = noise_pts_[i];
-    if (assigned_[p]) continue;
-    for (std::uint32_t j = noise_off_[i]; j < noise_off_[i + 1]; ++j) {
-      const PointId q = noise_nbrs_[j];
-      if (is_core_[q]) {
-        uf_.union_sets(q, p);
-        ++unions;
-        ++repaired;
-        assigned_[p] = 1;
-        break;
-      }
-    }
-  }
-  alg8_span.end();
-  metrics_.add(obs::Counter::kPostCoreDistanceEvals,
-               stats.post_core_distance_evals);
-  metrics_.add(obs::Counter::kUnionCalls, unions);
-  metrics_.add(obs::Counter::kBorderRepaired, repaired);
-  finalize_metrics();
-  stats.t_post = timer.seconds();
-}
-
-// Thread-parallel Algorithms 7 + 8. After cluster() joins, is_core_ is final
-// and read-only; Algorithm 7 writes nothing but the lock-free union-find, and
-// Algorithm 8 touches assigned_[p] only for its own (unique) noise point, so
-// both loops are data-parallel as-is.
-void MuDbscanEngine::post_process_parallel() {
-  obs::Span phase_span(cfg_.tracer, "phase.post_process");
-  WallTimer timer;
-  const double eps2 = params_.eps * params_.eps;
-  ThreadPool* pool = pool_.get();
-  const unsigned nt = pool->num_threads();
-
   obs::Span alg7_span(cfg_.tracer, "alg7.post_core");
   struct alignas(64) EvalAccum {
     std::uint64_t v = 0;
@@ -689,6 +457,10 @@ void MuDbscanEngine::post_process_parallel() {
       guard_);
   alg7_span.end();
 
+  // --- Algorithm 8: POST-PROCESSING-NOISE -------------------------------
+  // A provisional noise point whose stored neighborhood now contains a core
+  // point (one promoted to wndq-core after the noise point was processed)
+  // is in fact a border point.
   obs::Span alg8_span(cfg_.tracer, "alg8.post_noise");
   parallel_for_chunked(
       pool, noise_pts_.size(), 64,

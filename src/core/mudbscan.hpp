@@ -28,12 +28,13 @@ struct MuDbscanConfig {
   bool mbr_filtration = true;      // reachable-MC MBR filter in FIND-NBHD
   bool bulk_aux = true;            // STR-pack AuxR-trees (engineering knob)
 
-  // Real shared-memory parallelism (paper Section VII). 1 = the sequential
-  // engine, byte-for-byte the previous behavior. >1 runs the AuxR-tree
-  // builds, inner-circle/reachable computation, the Algorithm 6 query loop,
-  // and both post-processing passes on a thread pool of this size, with a
-  // lock-free union-find; the clustering stays exactly equal to sequential
-  // DBSCAN at every thread count (see docs/PARALLEL.md).
+  // Real shared-memory parallelism (paper Section VII). One body per phase
+  // serves every thread count: >1 runs the AuxR-tree builds,
+  // inner-circle/reachable computation, Algorithms 4 and 6, and both
+  // post-processing passes on a thread pool of this size; 1 runs the same
+  // loops inline in index order, so every counter is deterministic. The
+  // union-find is lock-free, and the clustering stays exactly equal to
+  // sequential DBSCAN at every thread count (see docs/PARALLEL.md).
   //
   // Stats determinism at num_threads > 1: num_mcs, dmc/cmc/smc, avoided_dmc
   // and avoided_cmc are identical at every thread count (Algorithm 4 writes

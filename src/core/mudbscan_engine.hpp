@@ -1,9 +1,11 @@
 // The µDBSCAN engine: the four algorithm phases as separately invokable
-// steps, with the union-find structure, flags, and µR-tree exposed. The
-// sequential entry point (mu_dbscan in mudbscan.hpp) is a thin wrapper; the
-// distributed implementation (dist/mudbscan_d) drives the engine on each
-// rank's halo-augmented local dataset and then reads the internals to build
-// its cross-rank merge edges.
+// steps, with the union-find structure, flags, and µR-tree exposed. Each
+// phase has one body for every thread count: its loops run on the engine's
+// pool when num_threads > 1 and inline, in index order, at one thread (see
+// docs/PARALLEL.md). The entry point (mu_dbscan in mudbscan.hpp) is a thin
+// wrapper; the distributed implementation (dist/mudbscan_d) drives the engine
+// on each rank's halo-augmented local dataset and then reads the internals to
+// build its cross-rank merge edges.
 
 #pragma once
 
@@ -83,8 +85,8 @@ class MuDbscanEngine {
     return metrics_.snapshot();
   }
 
-  // Per-worker busy/jobs totals of the engine's pool; empty for the
-  // sequential engine (num_threads == 1).
+  // Per-worker busy/jobs totals of the engine's pool; empty at
+  // num_threads == 1, where the engine runs without a pool.
   [[nodiscard]] std::vector<ThreadPool::WorkerStats> worker_stats() const {
     return pool_ ? pool_->worker_stats()
                  : std::vector<ThreadPool::WorkerStats>{};
@@ -93,12 +95,6 @@ class MuDbscanEngine {
   MuDbscanStats stats;
 
  private:
-  // Thread-parallel variants of the phase bodies (cfg_.num_threads > 1):
-  // exact-equivalent to the sequential code paths, see docs/PARALLEL.md for
-  // the decomposition and the determinism argument.
-  void cluster_parallel();
-  void post_process_parallel();
-
   // Trues up the budget charge for the engine-owned worklists (wndq list +
   // provisional-noise CSR) after the clustering phase sized them.
   void charge_scratch();

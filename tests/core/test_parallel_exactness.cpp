@@ -1,15 +1,18 @@
 // The tentpole guarantee of the thread-parallel engine: for every thread
-// count, the clustering is exact-equal to the sequential engine (same core
-// set, same core partition, same noise set) — which is itself exact-equal to
+// count, the clustering is exact-equal to the one-thread run (same core set,
+// same core partition, same noise set) — which is itself exact-equal to
 // classical DBSCAN (Theorem 1). Each parallel configuration is run several
 // times so racy interleavings get a chance to differ; they must not.
 
 #include <gtest/gtest.h>
 
 #include "baselines/brute_dbscan.hpp"
+#include "common/rng.hpp"
 #include "core/mudbscan.hpp"
+#include "core/mudbscan_engine.hpp"
 #include "data/generators.hpp"
 #include "metrics/exactness.hpp"
+#include "obs/metrics.hpp"
 
 namespace udb {
 namespace {
@@ -126,6 +129,99 @@ TEST(ParallelExactnessExtra, TinyAndDegenerateInputs) {
   const auto r3 = mu_dbscan(dense, dense_prm, nullptr, cfg);
   const auto seq3 = mu_dbscan(dense, dense_prm);
   EXPECT_TRUE(compare_exact(seq3, r3).exact());
+}
+
+// ---- One-thread counter pins ----------------------------------------------
+// At one thread the engine's schedule is fully deterministic, so every work
+// counter is a fixed function of the input. The literals below pin that
+// function on adversarial inputs; any change to the visit order or to a
+// decision of Algorithms 4/6/7/8 at one thread shows up here as a diff.
+
+// Integer coordinates in [0, 120]^2 at eps = 5: many pairs sit exactly eps
+// apart (5-0 and 3-4-5 offsets), integer collisions and every seventh point
+// repeated give duplicates, and zero coordinates flip to -0.0 on a coin toss.
+Dataset integer_lattice(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds = Dataset::empty(2);
+  for (std::size_t i = 0; i < n; ++i) {
+    double p[2];
+    for (double& x : p) {
+      x = static_cast<double>(rng.uniform_index(121));
+      if (x == 0.0 && rng.uniform_index(2) == 0) x = -0.0;
+    }
+    const int copies = i % 7 == 0 ? 3 : 1;
+    for (int c = 0; c < copies; ++c) ds.push_back(p);
+  }
+  return ds;
+}
+
+// Stacks of five duplicates along two chains whose neighbours sit exactly
+// eps = 5 apart, so no stack reaches the next: (5a, +-0.0), each stack mixing
+// +0.0 and -0.0 twins, and the 3-4-5 diagonal (3a, 100 + 4a). Single points
+// halfway between some stacks bridge them; single points exactly eps beyond
+// a stack stay out of it.
+Dataset eps_chains() {
+  Dataset ds = Dataset::empty(2);
+  for (int a = 0; a < 30; ++a) {
+    for (int c = 0; c < 5; ++c) {
+      ds.push_back(std::vector<double>{5.0 * a, c % 2 ? -0.0 : 0.0});
+      ds.push_back(std::vector<double>{3.0 * a, 100.0 + 4.0 * a});
+    }
+    if (a % 4 == 1) {
+      ds.push_back(std::vector<double>{5.0 * a + 2.5, 0.0});
+      ds.push_back(std::vector<double>{3.0 * a + 1.5, 102.0 + 4.0 * a});
+    }
+    if (a % 5 == 2) ds.push_back(std::vector<double>{5.0 * a, 5.0});
+  }
+  return ds;
+}
+
+struct PinnedCounters {
+  std::uint64_t num_mcs, dmc, cmc, smc;
+  std::uint64_t queries_performed, avoided_dmc, avoided_cmc, avoided_promotion;
+  std::uint64_t wndq_core_points, post_core_distance_evals;
+  std::uint64_t union_calls, noise_provisional, border_repaired;
+};
+
+void expect_pinned(const char* what, const Dataset& ds,
+                   const DbscanParams& prm, const PinnedCounters& want) {
+  SCOPED_TRACE(what);
+  MuDbscanConfig cfg;
+  cfg.num_threads = 1;
+  MuDbscanEngine engine(ds, prm, cfg);
+  engine.run_all();
+  const auto got = engine.extract_result();
+  const auto truth = brute_dbscan(ds, prm);
+  const auto rep = compare_exact(truth, got);
+  EXPECT_TRUE(rep.exact()) << rep.detail;
+  EXPECT_EQ(got.is_core, truth.is_core);
+
+  const MuDbscanStats& st = engine.stats;
+  const obs::MetricsSnapshot m = engine.metrics_snapshot();
+  EXPECT_EQ(st.num_mcs, want.num_mcs);
+  EXPECT_EQ(st.dmc, want.dmc);
+  EXPECT_EQ(st.cmc, want.cmc);
+  EXPECT_EQ(st.smc, want.smc);
+  EXPECT_EQ(st.queries_performed, want.queries_performed);
+  EXPECT_EQ(st.avoided_dmc, want.avoided_dmc);
+  EXPECT_EQ(st.avoided_cmc, want.avoided_cmc);
+  EXPECT_EQ(st.avoided_promotion, want.avoided_promotion);
+  EXPECT_EQ(st.wndq_core_points, want.wndq_core_points);
+  EXPECT_EQ(st.post_core_distance_evals, want.post_core_distance_evals);
+  EXPECT_EQ(m.counter(obs::Counter::kUnionCalls), want.union_calls);
+  EXPECT_EQ(m.counter(obs::Counter::kNoiseProvisional),
+            want.noise_provisional);
+  EXPECT_EQ(m.counter(obs::Counter::kBorderRepaired), want.border_repaired);
+}
+
+TEST(ParallelExactnessOneThread, CountersPinnedOnAdversarialInputs) {
+  expect_pinned("integer_lattice", integer_lattice(1500, 16), {5.0, 8},
+                {331, 6, 98, 227, 1578, 59, 98, 195, 352, 97, 8819, 183, 1});
+  expect_pinned("eps_chains", eps_chains(), {5.0, 5},
+                {66, 0, 60, 6, 82, 0, 60, 180, 240, 1824, 740, 6, 0});
+  expect_pinned("giant_cluster", gen_blobs(2500, 3, 1, 10.0, 1.0, 0.0, 16),
+                {1.0, 5},
+                {94, 25, 29, 40, 389, 430, 29, 1652, 2111, 0, 28880, 7, 0});
 }
 
 }  // namespace

@@ -87,6 +87,13 @@ struct KdCase {
   std::uint64_t seed;
 };
 
+// Names the ctest case from the fields (e.g. n300_d2_r3_leaf16_s1) instead of
+// a byte dump of the struct, whose padding bytes change from build to build.
+void PrintTo(const KdCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_d" << c.dim << "_r" << c.radius << "_leaf" << c.leaf
+      << "_s" << c.seed;
+}
+
 class KdTreeEquivalence : public ::testing::TestWithParam<KdCase> {};
 
 TEST_P(KdTreeEquivalence, MatchesLinearScan) {

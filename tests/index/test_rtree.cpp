@@ -134,6 +134,12 @@ struct QueryCase {
   std::uint64_t seed;
 };
 
+// Names the ctest case from the fields (e.g. n300_d2_r3_s1) instead of a byte
+// dump of the struct, whose padding bytes change from build to build.
+void PrintTo(const QueryCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_d" << c.dim << "_r" << c.radius << "_s" << c.seed;
+}
+
 class RTreeQueryEquivalence : public ::testing::TestWithParam<QueryCase> {};
 
 TEST_P(RTreeQueryEquivalence, MatchesLinearScan) {

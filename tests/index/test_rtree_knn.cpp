@@ -77,6 +77,12 @@ struct KnnCase {
   std::uint64_t seed;
 };
 
+// Names the ctest case from the fields (e.g. n200_d2_k1_s1) instead of a byte
+// dump of the struct, whose padding bytes change from build to build.
+void PrintTo(const KnnCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_d" << c.dim << "_k" << c.k << "_s" << c.seed;
+}
+
 class RTreeKnnEquivalence : public ::testing::TestWithParam<KnnCase> {};
 
 TEST_P(RTreeKnnEquivalence, MatchesBruteForce) {
